@@ -1,7 +1,8 @@
 /**
  * @file
  * Reproduces the Sec 4.3 node-limited routing analysis (group-limit
- * sweep -> E[M] and IB time) and times the gate.
+ * sweep -> E[M] and IB time) and times the gate: route() on fixed
+ * logits, routeNext() on a token stream, and next() alone.
  */
 
 #include "bench_util.hh"
@@ -33,6 +34,23 @@ BM_GateRoute(benchmark::State &state)
         benchmark::DoNotOptimize(gate.route(logits));
 }
 BENCHMARK(BM_GateRoute)->Arg(8)->Arg(4)->Arg(1);
+
+/** Token synthesis fused with routing: the DeepEP per-token path. */
+void
+BM_GateRouteNext(benchmark::State &state)
+{
+    dsv3::moe::GateConfig cfg;
+    cfg.experts = 256;
+    cfg.topK = 8;
+    cfg.groups = 8;
+    cfg.topKGroups = (std::size_t)state.range(0);
+    dsv3::moe::TopKGate gate(cfg);
+    dsv3::moe::TokenScoreGenerator gen(256, 0.3, 3);
+    dsv3::moe::GateTally tally;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gate.routeNext(gen, &tally));
+}
+BENCHMARK(BM_GateRouteNext)->Arg(8)->Arg(4)->Arg(1);
 
 void
 BM_TokenGeneration(benchmark::State &state)

@@ -29,35 +29,11 @@ hashCombine(std::uint64_t seed, std::uint64_t value)
                    (seed << 6) + (seed >> 2));
 }
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
     std::uint64_t state = seed;
     for (auto &word : s_)
         word = splitmix64(state);
-}
-
-std::uint64_t
-Rng::nextU64()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 std::uint64_t
@@ -68,12 +44,6 @@ Rng::nextBounded(std::uint64_t bound)
     // negligible (bounds are far below 2^32 in practice).
     __uint128_t product = (__uint128_t)nextU64() * (__uint128_t)bound;
     return (std::uint64_t)(product >> 64);
-}
-
-double
-Rng::nextDouble()
-{
-    return (nextU64() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -93,10 +63,16 @@ Rng::normal(double mean, double stddev)
 }
 
 double
+gumbelOfUniform(double x)
+{
+    double u = 1.0 - x;
+    return -std::log(-std::log(u));
+}
+
+double
 Rng::gumbel()
 {
-    double u = 1.0 - nextDouble();
-    return -std::log(-std::log(u));
+    return gumbelOfUniform(nextDouble());
 }
 
 bool

@@ -128,7 +128,7 @@ reproduceEplb()
         moe::RoutingStats stats(placement);
         moe::TokenScoreGenerator gen(256, skew, 61);
         for (int tok = 0; tok < 4000; ++tok)
-            stats.add(router.route(gen.next()));
+            stats.add(router.routeNext(gen));
 
         auto result = moe::balanceExperts(stats.expertLoad(), 64, 5);
         std::size_t replicated = 0;
@@ -365,7 +365,7 @@ reproduceBiasBalancing()
         std::vector<double> plain_load(32, 0.0);
         for (int batch = 0; batch < 60; ++batch) {
             for (int tok = 0; tok < 64; ++tok) {
-                auto d = plain.route(gen_a.next());
+                auto d = plain.routeNext(gen_a);
                 for (auto e : d.experts)
                     plain_load[e] += 1.0;
                 balanced.route(gen_b.next());

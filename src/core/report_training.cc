@@ -113,7 +113,7 @@ reproduceNodeLimited()
         moe::RoutingStats stats(placement);
         moe::TokenScoreGenerator gen(256, 0.3, 17);
         for (int i = 0; i < 4000; ++i)
-            stats.add(router.route(gen.next()));
+            stats.add(router.routeNext(gen));
 
         double time = ep::nodeLimitedIbTime(stats.meanNodesTouched(),
                                             hidden, 1.0, ib_bw);

@@ -68,16 +68,24 @@ TrafficCounts
 routeAllTokens(const net::Cluster &cluster, const EpWorkload &w,
                const std::vector<bool> *dead)
 {
+    DSV3_TRACE_SPAN("ep.deepep.route_tokens");
     const std::size_t gpus = cluster.gpus.size();
     const std::size_t hosts = cluster.config.hosts;
     moe::ExpertPlacement placement(w.gate.experts, hosts,
                                    cluster.config.gpusPerHost);
     moe::TopKGate gate(w.gate);
+    moe::GateTally tally;
 
     TrafficCounts tc;
     tc.interHostCopies.assign(gpus, std::vector<double>(hosts, 0.0));
     tc.deliveries.assign(gpus, std::vector<double>(gpus, 0.0));
 
+    // Per-token destination sets, reused so the loop never allocates.
+    std::vector<std::uint32_t> dst_hosts, dst_gpus, live;
+    auto dedup = [](std::vector<std::uint32_t> &v) {
+        std::sort(v.begin(), v.end());
+        v.erase(std::unique(v.begin(), v.end()), v.end());
+    };
     const bool masking = dead && !dead->empty();
     for (std::size_t src = 0; src < gpus; ++src) {
         if (masking && (*dead)[src])
@@ -85,29 +93,26 @@ routeAllTokens(const net::Cluster &cluster, const EpWorkload &w,
         moe::TokenScoreGenerator gen(w.gate.experts, w.popularitySkew,
                                      w.seed + src);
         for (std::size_t t = 0; t < w.tokensPerGpu; ++t) {
-            auto decision = gate.route(gen.next());
-            std::vector<std::uint32_t> dst_hosts, dst_gpus;
+            auto decision = gate.routeNext(gen, &tally);
+            dst_hosts.clear();
+            dst_gpus.clear();
             for (std::uint32_t e : decision.experts) {
                 dst_hosts.push_back(placement.node(e));
                 dst_gpus.push_back(placement.gpu(e));
             }
-            auto dedup = [](std::vector<std::uint32_t> &v) {
-                std::sort(v.begin(), v.end());
-                v.erase(std::unique(v.begin(), v.end()), v.end());
-            };
             dedup(dst_hosts);
             dedup(dst_gpus);
             if (masking) {
                 // Deliveries to crashed expert hosts are lost; hosts
                 // with no surviving delivery get no IB copy either.
-                std::vector<std::uint32_t> live;
+                live.clear();
                 for (std::uint32_t g : dst_gpus) {
                     if ((*dead)[g])
                         tc.droppedDeliveries += 1.0;
                     else
                         live.push_back(g);
                 }
-                dst_gpus = std::move(live);
+                std::swap(dst_gpus, live);
                 dst_hosts.clear();
                 for (std::uint32_t g : dst_gpus)
                     dst_hosts.push_back(

@@ -12,6 +12,12 @@
  * inside the surviving groups. This algorithmically bounds the number
  * of nodes M a token's experts can live on, which bounds the
  * deduplicated IB traffic to M*t (Sec 4.3).
+ *
+ * Selection is filter-and-refine (DESIGN.md, "MoE routing: exact
+ * filter-and-refine"): the gate ranks experts on cheap per-expert
+ * bounds and computes the exact score -- the Gumbel logs and the
+ * sigmoid -- only for experts whose bounds let them change the
+ * decision, which is identical, bit for bit, to scoring every expert.
  */
 
 #pragma once
@@ -20,7 +26,11 @@
 #include <span>
 #include <vector>
 
+#include "obs/batch.hh"
+
 namespace dsv3::moe {
+
+class TokenScoreGenerator;
 
 /** How raw gate logits become affinity scores. */
 enum class GateScoring
@@ -51,6 +61,27 @@ struct RoutingDecision
     std::vector<double> weights;        //!< normalized combine weights
 };
 
+/**
+ * The moe.gate.* counters of a loop of routing calls, batched (the
+ * obs/batch.hh idiom): a hot loop passes one tally to every call and
+ * it lands one atomic add per counter when destroyed.
+ */
+class GateTally
+{
+  public:
+    GateTally() = default;
+    GateTally(const GateTally &) = delete;
+    GateTally &operator=(const GateTally &) = delete;
+    ~GateTally();
+
+  private:
+    friend class TopKGate;
+    obs::CounterBatch tokens_;     //!< moe.gate.tokens_routed
+    obs::CounterBatch experts_;    //!< moe.gate.experts_selected
+    obs::CounterBatch exactEvals_; //!< moe.gate.exact_evals
+    obs::CounterBatch fallbacks_;  //!< moe.gate.fallbacks
+};
+
 class TopKGate
 {
   public:
@@ -62,20 +93,27 @@ class TopKGate
      * Route one token given raw logits (length == cfg.experts).
      * Scores are computed per cfg.scoring; weights are re-normalized
      * over the selected experts (DeepSeek-V3 normalizes sigmoid scores
-     * by their sum).
+     * by their sum). Experts rank by (score desc, index asc).
      */
     RoutingDecision route(std::span<const double> logits) const;
+
+    /**
+     * Route @p gen's next token: exactly route(gen.next()), leaving
+     * @p gen in the same state, but evaluating the Gumbel noise only
+     * for the experts whose bracket lets them matter. Counts into
+     * @p tally when given, else straight into the registry.
+     */
+    RoutingDecision routeNext(TokenScoreGenerator &gen,
+                              GateTally *tally = nullptr) const;
 
     /** Group ids a decision's experts map onto (sorted unique). */
     std::vector<std::uint32_t>
     groupsTouched(const RoutingDecision &d) const;
 
   private:
-    /** Indices of the k largest values in @p scores among candidates. */
-    static std::vector<std::uint32_t>
-    topKIndices(std::span<const double> scores,
-                std::span<const std::uint32_t> candidates,
-                std::size_t k);
+    template <class Logit>
+    RoutingDecision decide(double *lo, double *hi, Logit &&logit,
+                           GateTally *tally) const;
 
     GateConfig cfg_;
 };

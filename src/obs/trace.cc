@@ -24,15 +24,30 @@ struct TraceEvent
     std::string args; //!< pre-rendered JSON members, may be empty
 };
 
-/** One thread's event log; owned by the collector, never freed. */
+/**
+ * One thread's event log; owned by the collector, never freed. The
+ * owning thread appends under @c mu while readers (export, clear,
+ * count) walk it under the collector mutex and then @c mu, so a pool
+ * worker closing a span never races an export. The lock is only taken
+ * on the recording path, i.e. when tracing is on.
+ */
 struct ThreadBuffer
 {
     std::uint32_t tid;
+    std::mutex mu;
     std::vector<TraceEvent> events;
 };
 
 /** Default per-thread cap so runaway sweeps cannot eat all memory. */
 constexpr std::size_t kDefaultMaxEventsPerThread = 1u << 22;
+
+std::int64_t
+steadyNs()
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
 
 struct Collector
 {
@@ -60,8 +75,8 @@ struct Collector
                    ? TraceClock::VIRTUAL
                    : TraceClock::WALL;
     }()};
-    std::chrono::steady_clock::time_point epoch =
-        std::chrono::steady_clock::now();
+    /** WALL clock origin, steady_clock ns; reset by clearTrace(). */
+    std::atomic<std::int64_t> epochNs{steadyNs()};
 };
 
 Collector &
@@ -118,11 +133,13 @@ clearTrace()
 {
     Collector &c = collector();
     std::lock_guard<std::mutex> lock(c.mu);
-    for (auto &buf : c.buffers)
+    for (auto &buf : c.buffers) {
+        std::lock_guard<std::mutex> buf_lock(buf->mu);
         buf->events.clear();
+    }
     c.virtualClock.store(0, std::memory_order_relaxed);
     c.dropped.store(0, std::memory_order_relaxed);
-    c.epoch = std::chrono::steady_clock::now();
+    c.epochNs.store(steadyNs(), std::memory_order_relaxed);
 }
 
 void
@@ -152,8 +169,10 @@ traceEventCount()
     Collector &c = collector();
     std::lock_guard<std::mutex> lock(c.mu);
     std::size_t n = 0;
-    for (const auto &buf : c.buffers)
+    for (const auto &buf : c.buffers) {
+        std::lock_guard<std::mutex> buf_lock(buf->mu);
         n += buf->events.size();
+    }
     return n;
 }
 
@@ -168,10 +187,8 @@ traceNow()
         return c.virtualClock.fetch_add(1,
                                         std::memory_order_relaxed);
     }
-    return (std::uint64_t)std::chrono::duration_cast<
-               std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - c.epoch)
-        .count();
+    return (std::uint64_t)(steadyNs() -
+                           c.epochNs.load(std::memory_order_relaxed));
 }
 
 void
@@ -182,7 +199,9 @@ recordSpan(const char *name, std::uint64_t begin, std::string args)
     ThreadBuffer &buf = threadBuffer();
     const std::size_t cap =
         c.maxEventsPerThread.load(std::memory_order_relaxed);
+    std::unique_lock<std::mutex> lock(buf.mu);
     if (buf.events.size() >= cap) {
+        lock.unlock();
         static Counter &c_dropped =
             Registry::global().counter("obs.trace.dropped");
         c_dropped.inc();
@@ -233,6 +252,7 @@ chromeTraceJson()
     out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
     bool first = true;
     for (const auto &buf : c.buffers) {
+        std::lock_guard<std::mutex> buf_lock(buf->mu);
         for (const TraceEvent &ev : buf->events) {
             if (!first)
                 out += ",";

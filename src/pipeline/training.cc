@@ -59,7 +59,7 @@ measureNodesTouched(const model::ModelConfig &cfg, std::size_t ep_nodes,
     moe::RoutingStats stats(placement);
     moe::TokenScoreGenerator gen(m.routedExperts, 0.3, 7);
     for (int t = 0; t < 2000; ++t)
-        stats.add(router.route(gen.next()));
+        stats.add(router.routeNext(gen));
     return stats.meanNodesTouched();
 }
 

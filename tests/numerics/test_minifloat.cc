@@ -9,12 +9,22 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <set>
 
 #include "common/rng.hh"
 #include "numerics/minifloat.hh"
 
 namespace dsv3::numerics {
+
+// Print a format parameter by name, not by address, so the test names
+// googletest lists (and CTest registers) are the same on every run.
+void
+PrintTo(const FloatFormat *fmt, std::ostream *os)
+{
+    *os << fmt->name;
+}
+
 namespace {
 
 TEST(FloatFormat, E4M3Constants)
