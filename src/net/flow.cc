@@ -26,8 +26,12 @@ struct FlowStats
         obs::Registry::global().counter("net.flow.engines_built");
     obs::Counter &solves =
         obs::Registry::global().counter("net.flow.solves");
+    /** Rounds water-filled; a resumed solve counts only its suffix. */
     obs::Counter &solverIterations = obs::Registry::global().counter(
         "net.flow.solver_iterations");
+    /** Rounds a resumed solve kept from the previous solve. */
+    obs::Counter &roundsReused =
+        obs::Registry::global().counter("net.flow.rounds_reused");
     obs::Counter &heapPops =
         obs::Registry::global().counter("net.flow.heap_pops");
     obs::Counter &heapStalePops =
@@ -253,6 +257,7 @@ FlowSimEngine::FlowSimEngine(const Graph &graph,
     sub_alive_.assign(sub_flow_.size(), true);
     sub_rate_.assign(sub_flow_.size(), 0.0);
     frozen_stamp_.assign(sub_flow_.size(), 0);
+    sub_round_.assign(sub_flow_.size(), 0);
 }
 
 void
@@ -305,7 +310,6 @@ FlowSimEngine::attachFlow(std::size_t flow)
         if (p.empty())
             continue;
         local = false;
-        auto s = (std::uint32_t)sub_flow_.size();
         sub_flow_.push_back((std::uint32_t)flow);
         sub_edge_begin_.push_back((std::uint32_t)sub_edges_.size());
         sub_edges_.insert(sub_edges_.end(), p.begin(), p.end());
@@ -313,6 +317,7 @@ FlowSimEngine::attachFlow(std::size_t flow)
         sub_alive_.push_back(true);
         sub_rate_.push_back(0.0);
         frozen_stamp_.push_back(0);
+        sub_round_.push_back(0);
         for (EdgeId e : p)
             ++active_on_edge_[e];
         ++active_subflows_;
@@ -403,10 +408,6 @@ FlowSimEngine::solve()
                     active_subflows_);
     if (edge_index_dirty_)
         rebuildEdgeIndex();
-    // Local tallies, flushed to the registry once per solve.
-    std::uint64_t pops = 0;
-    std::uint64_t stale_pops = 0;
-    const std::uint64_t iters_before = iterations_;
     ++solve_stamp_;
     std::fill(rates_.begin(), rates_.end(), 0.0);
     for (std::size_t i = 0; i < flows_.size(); ++i) {
@@ -414,21 +415,11 @@ FlowSimEngine::solve()
             rates_[i] = std::numeric_limits<double>::infinity();
     }
 
-    // Heap of bottleneck candidates keyed by (fair share, edge id):
-    // pops in exactly the order a full-edge rescan picking the
-    // smallest share (lowest edge id on ties) would select. Every
-    // share change pushes a fresh entry, so each live edge's exact
-    // current share is always present; entries that no longer match
-    // the recomputed share are stale duplicates and get dropped on
-    // pop (lazy deletion). The backing vector is an engine member
-    // (warm across the epoch loop) seeded with one make_heap: the
-    // key pairs are totally ordered, so the pop sequence is identical
-    // to element-by-element pushes.
-    using Cand = std::pair<double, EdgeId>;
-    const std::greater<Cand> cmp;
+    // Seed the bottleneck heap with every live edge's (fair share,
+    // edge id); see waterFill(). Edges drained by removeFlow() never
+    // refill: compact them out of used_edges_ (ascending order
+    // preserved) on the way.
     heap_.clear();
-    // Edges drained by removeFlow() never refill: compact them out of
-    // used_edges_ (ascending order preserved) while seeding the heap.
     std::size_t used_out = 0;
     for (EdgeId e : used_edges_) {
         if (active_on_edge_[e] == 0)
@@ -439,10 +430,116 @@ FlowSimEngine::solve()
         heap_.push_back({residual_[e] / (double)scratch_active_[e], e});
     }
     used_edges_.resize(used_out);
-    std::make_heap(heap_.begin(), heap_.end(), cmp);
 
+    round_begin_.clear();
+    freeze_log_.clear();
+    undo_log_.clear();
+    waterFill(active_subflows_, 0);
+
+    // Sum per-flow in subflow-id order, matching the reference
+    // accumulation order bit for bit.
+    for (std::size_t i = 0; i < flows_.size(); ++i) {
+        if (!alive_[i])
+            continue;
+        for (std::uint32_t s = flow_sub_begin_[i];
+             s < flow_sub_end_[i]; ++s)
+            rates_[i] += sub_rate_[s];
+    }
+    return rates_;
+}
+
+const std::vector<double> &
+FlowSimEngine::resume(std::uint32_t round)
+{
+    DSV3_TRACE_SPAN("net.flow.solve", "active_subflows",
+                    active_subflows_);
+    DSV3_DEBUG_ASSERT(round <= round_begin_.size());
+    const std::uint32_t from = round < round_begin_.size()
+                                   ? round_begin_[round]
+                                   : (std::uint32_t)freeze_log_.size();
+
+    // Undo the logged suffix newest first, so every edge ends at the
+    // residual it had when round `round` began. Live-subflow counts
+    // are rebuilt by re-counting the suffix's live subflows, never
+    // restored from a log: a logged count would predate retirements
+    // made since the round it was taken in. Every retired flow froze
+    // in the suffix, so its rate is zeroed here and the prefix holds
+    // only live subflows, which stay frozen at their logged rates.
+    // The live suffix subflows' edges are exactly the edges with a
+    // nonzero count at that point, so they alone seed the heap.
+    ++touch_round_;
     touched_.clear();
-    std::size_t unfrozen = active_subflows_;
+    std::size_t unfrozen = 0;
+    std::size_t undo = undo_log_.size();
+    for (std::size_t i = freeze_log_.size(); i-- > from;) {
+        const std::uint32_t s = freeze_log_[i];
+        const bool live = sub_alive_[s];
+        for (std::uint32_t k = sub_edge_end_[s];
+             k-- > sub_edge_begin_[s];) {
+            const EdgeId e = sub_edges_[k];
+            residual_[e] = undo_log_[--undo];
+            if (!live)
+                continue;
+            ++scratch_active_[e];
+            if (touch_stamp_[e] != touch_round_) {
+                touch_stamp_[e] = touch_round_;
+                touched_.push_back(e);
+            }
+        }
+        if (live) {
+            frozen_stamp_[s] = 0;
+            ++unfrozen;
+        } else {
+            rates_[sub_flow_[s]] = 0.0;
+        }
+    }
+    freeze_log_.resize(from);
+    undo_log_.resize(undo);
+    round_begin_.resize(round);
+
+    heap_.clear();
+    for (EdgeId e : touched_)
+        heap_.push_back({residual_[e] / (double)scratch_active_[e], e});
+    waterFill(unfrozen, round);
+
+    // Re-sum only the flows with a re-frozen subflow, each from 0.0
+    // in subflow-id order as solve() does. Zero marks "not yet
+    // re-summed"; a flow whose sum is 0 is merely summed again.
+    for (std::size_t i = from; i < freeze_log_.size(); ++i)
+        rates_[sub_flow_[freeze_log_[i]]] = 0.0;
+    for (std::size_t i = from; i < freeze_log_.size(); ++i) {
+        const std::uint32_t f = sub_flow_[freeze_log_[i]];
+        if (rates_[f] != 0.0)
+            continue;
+        double rate = 0.0;
+        for (std::uint32_t s = flow_sub_begin_[f]; s < flow_sub_end_[f];
+             ++s)
+            rate += sub_rate_[s];
+        rates_[f] = rate;
+    }
+    return rates_;
+}
+
+void
+FlowSimEngine::waterFill(std::size_t unfrozen, std::size_t reused)
+{
+    // heap_ holds bottleneck candidates keyed by (fair share, edge
+    // id): it pops in exactly the order a full-edge rescan picking
+    // the smallest share (lowest edge id on ties) would select. Every
+    // share change pushes a fresh entry, so each live edge's exact
+    // current share is always present; entries that no longer match
+    // the recomputed share are stale duplicates and get dropped on
+    // pop (lazy deletion). The backing vector is an engine member,
+    // warm across the epoch loop, seeded by the caller in any order:
+    // the key pairs are totally ordered, so one make_heap pops the
+    // same sequence as element-by-element pushes.
+    using Cand = std::pair<double, EdgeId>;
+    const std::greater<Cand> cmp;
+    std::make_heap(heap_.begin(), heap_.end(), cmp);
+    // Local tallies, flushed to the registry once per solve.
+    std::uint64_t pops = 0;
+    std::uint64_t stale_pops = 0;
+    const std::uint64_t iters_before = iterations_;
     while (unfrozen > 0) {
         double best_share;
         EdgeId best_edge;
@@ -467,6 +564,8 @@ FlowSimEngine::solve()
             break;
         }
         ++iterations_;
+        const auto round = (std::uint32_t)round_begin_.size();
+        round_begin_.push_back((std::uint32_t)freeze_log_.size());
 
         // Freeze every unfrozen subflow crossing the bottleneck, in
         // subflow-id order (the order the full rescan froze them in,
@@ -486,10 +585,13 @@ FlowSimEngine::solve()
                 continue;
             sub_rate_[s] = best_share;
             frozen_stamp_[s] = solve_stamp_;
+            sub_round_[s] = round;
+            freeze_log_.push_back(s);
             --unfrozen;
             for (std::uint32_t k = sub_edge_begin_[s];
                  k < sub_edge_end_[s]; ++k) {
                 EdgeId e = sub_edges_[k];
+                undo_log_.push_back(residual_[e]);
                 residual_[e] -= best_share;
                 if (residual_[e] < 0.0)
                     residual_[e] = 0.0;
@@ -514,22 +616,12 @@ FlowSimEngine::solve()
         }
     }
 
-    // Sum per-flow in subflow-id order, matching the reference
-    // accumulation order bit for bit.
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-        if (!alive_[i])
-            continue;
-        for (std::uint32_t s = flow_sub_begin_[i];
-             s < flow_sub_end_[i]; ++s)
-            rates_[i] += sub_rate_[s];
-    }
-
     FlowStats &stats = flowStats();
     stats.solves.inc();
     stats.solverIterations.inc(iterations_ - iters_before);
+    stats.roundsReused.inc(reused);
     stats.heapPops.inc(pops);
     stats.heapStalePops.inc(stale_pops);
-    return rates_;
 }
 
 FlowSimResult
@@ -546,7 +638,11 @@ FlowSimEngine::run()
     for (std::size_t i = 0; i < n; ++i) {
         if (!alive_[i])
             continue;
-        remaining[i] = flows_[i].bytes;
+        const Flow &f = flows_[i];
+        DSV3_ASSERT(std::isfinite(f.bytes) && f.bytes >= 0.0, "flow ", i,
+                    " (", f.src, "->", f.dst, ") has invalid size ",
+                    f.bytes, " B");
+        remaining[i] = f.bytes;
         // Zero-byte flows are already done; local flows (src == dst,
         // infinite rate) finish instantly. Retiring both up front
         // keeps infinite rates out of the epoch loop, where
@@ -569,9 +665,13 @@ FlowSimEngine::run()
     FlowStats &stats = flowStats();
     double now = 0.0;
     bool first_epoch = true;
+    // Earliest round of the last solve that a flow retired since then
+    // froze in; only retirements happen between solves here.
+    std::uint32_t resume_round = 0;
     while (!active.empty()) {
         stats.epochActiveFlows.add((double)active.size());
-        const std::vector<double> &rates = solve();
+        const std::vector<double> &rates =
+            first_epoch ? solve() : resume(resume_round);
         ++result.epochs;
 
         if (first_epoch) {
@@ -605,11 +705,15 @@ FlowSimEngine::run()
         now += dt;
 
         std::size_t out = 0;
+        resume_round = (std::uint32_t)round_begin_.size();
         for (std::size_t i : active) {
             remaining[i] -= rates[i] * dt;
             if (remaining[i] <= flows_[i].bytes * kFinishEps) {
                 remaining[i] = 0.0;
                 result.finishTimes[i] = now;
+                for (std::uint32_t s = flow_sub_begin_[i];
+                     s < flow_sub_end_[i]; ++s)
+                    resume_round = std::min(resume_round, sub_round_[s]);
                 removeFlow(i);
             } else {
                 active[out++] = i;

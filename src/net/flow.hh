@@ -25,8 +25,9 @@
  * throwaway engine.
  *
  * The engine reports itself under "net.flow.*" in the stats registry
- * (solver iterations, heap pops, epochs, retired flows) and brackets
- * build/solve/run with trace spans; see DESIGN.md "Observability".
+ * (solver iterations, rounds reused, heap pops, epochs, retired flows)
+ * and brackets build/solve/run with trace spans; see DESIGN.md
+ * "Observability".
  */
 
 #pragma once
@@ -91,7 +92,10 @@ struct FlowSimResult
     double peakUtilization = 0.0;
     /** Completion epochs the event loop stepped through. */
     std::size_t epochs = 0;
-    /** Total bottleneck-freeze iterations across all solves. */
+    /**
+     * Bottleneck-freeze rounds water-filled across all solves; a
+     * resumed solve counts only the rounds it redid.
+     */
     std::uint64_t solverIterations = 0;
 };
 
@@ -167,13 +171,41 @@ class FlowSimEngine
     /**
      * Fluid-model completion times for all still-active flows:
      * repeatedly solve, advance to the next completion, retire the
-     * finished flows. Consumes the engine's active set.
+     * finished flows. Consumes the engine's active set. Every active
+     * flow's bytes must be finite and non-negative.
+     *
+     * After the first epoch each solve resumes the previous one's
+     * water-fill from the first round a just-retired flow froze in
+     * (see resume()); rates stay bit-identical to a full solve().
      */
     FlowSimResult run();
 
   private:
     /** Re-derive the edge CSR from the live subflows. */
     void rebuildEdgeIndex();
+
+    /**
+     * Re-solve after retirements alone, rewinding the last solve to
+     * the start of its round `round` -- the earliest round any
+     * retired flow froze in. Rounds before that replay bit for bit
+     * (retiring only raises the (share, edge) keys of the retired
+     * flows' edges, and no such edge was a bottleneck while they were
+     * unfrozen), so their outcome is kept and only the rest is
+     * water-filled again. Private to run(): a capacity change,
+     * detachFlow()/attachFlow() or an edge-index rebuild since the
+     * last solve would make the prefix stale, and public solve()
+     * always starts from scratch.
+     */
+    const std::vector<double> &resume(std::uint32_t round);
+
+    /**
+     * Progressive filling from the current residual_/scratch_active_
+     * state until `unfrozen` more subflows are frozen, appending each
+     * round to the round log. heap_ must hold a current entry for
+     * every edge with an unfrozen subflow, in any order. Flushes the
+     * solve's stats; `reused` is the rounds kept from the last solve.
+     */
+    void waterFill(std::size_t unfrozen, std::size_t reused);
 
     const Graph &graph_;
     const std::vector<Flow> &flows_;
@@ -246,6 +278,16 @@ class FlowSimEngine
     std::vector<std::pair<double, EdgeId>> heap_;
     /** Edges touched by the current freeze round (solve scratch). */
     std::vector<EdgeId> touched_;
+
+    // Round log of the last solve, read by resume(). Round r froze
+    // freeze_log_[round_begin_[r] .. round_begin_[r + 1]) in that
+    // order. undo_log_ holds, for each freeze-log subflow and each of
+    // its edges in path order, the edge's residual just before the
+    // freeze subtracted from it, so rewinding is a reverse replay.
+    std::vector<std::uint32_t> round_begin_;
+    std::vector<std::uint32_t> freeze_log_;
+    std::vector<double> undo_log_;
+    std::vector<std::uint32_t> sub_round_; //!< per subflow: its round
 };
 
 /**
