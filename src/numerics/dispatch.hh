@@ -3,7 +3,7 @@
  * Runtime CPU dispatch for the numerics kernels.
  *
  * The hot numerics loops (minifloat codecs, LogFMT log/exp, the GEMM
- * tile reductions) exist in one scalar and up to three SIMD
+ * tile reductions) exist in one scalar and up to two SIMD
  * implementations, compiled into separate translation units with
  * per-TU ISA flags (see src/CMakeLists.txt). At first use the process
  * picks one KernelTable of function pointers -- the OpenVINO
@@ -11,11 +11,9 @@
  *
  *   x86:     __builtin_cpu_supports("avx512f"/"avx2"/"fma") at
  *            runtime; the binary itself stays baseline x86-64.
- *   aarch64: NEON is part of the baseline, so the NEON table is a
- *            compile-time choice.
- *   other:   scalar.
+ *   other:   scalar (aarch64 included).
  *
- * DSV3_KERNEL_DISPATCH=scalar|avx2|avx512|neon forces a specific
+ * DSV3_KERNEL_DISPATCH=scalar|avx2|avx512 forces a specific
  * table (for testing, bisection, and the CI forced-scalar job).
  * Naming an ISA the host cannot run warns once and falls back to the
  * best available path -- it never crashes and never silently picks
@@ -43,16 +41,19 @@ namespace dsv3::numerics {
 
 struct FormatKernels;
 
-/** Dispatchable instruction-set families, worst to best. */
+/**
+ * Dispatchable instruction-set families, worst to best. The values
+ * are stable (they index the resolved tables and are exported as the
+ * `numerics.dispatch.isa` gauge), so 1 stays unused.
+ */
 enum class KernelIsa
 {
     SCALAR = 0,
-    NEON = 1,
     AVX2 = 2,
     AVX512 = 3,
 };
 
-/** Stable lowercase name ("scalar", "avx2", "avx512", "neon"). */
+/** Stable lowercase name ("scalar", "avx2", "avx512"). */
 const char *isaName(KernelIsa isa);
 
 /**
@@ -161,9 +162,6 @@ struct KernelTable
     /** Pinned-order BF16-pipeline dot == fastmath::pinnedDotF32. */
     float (*dotTileF32)(const double *a, const double *b,
                         std::size_t n) = nullptr;
-    /** out[i] = a[i] * b[i] (FP22 product groups). */
-    void (*mulSpan)(const double *a, const double *b, double *out,
-                    std::size_t n) = nullptr;
     /** Branchless max over the magnitude bits of each element. */
     std::uint64_t (*absBitsMax)(const double *in,
                                 std::size_t n) = nullptr;
@@ -176,6 +174,28 @@ struct KernelTable
      */
     double (*truncSum)(const double *in, std::size_t n,
                        double inv_quantum, double quantum) = nullptr;
+
+    /**
+     * FP22 tensor-core panel: one K-tile of gemmQuantized's FP22 arms
+     * for fp22PanelCols adjacent output columns. @p a holds the
+     * tile's @p kcnt raw activations, @p b the raw B tile at its
+     * first column (row-major, row stride @p ldb), and reg[c] the
+     * FP22 register of column c. For every @p group products
+     * (restarting at the tile start), each register becomes
+     * Fp22Register::add(alignedGroupSum(products)) -- bit for bit.
+     *
+     * Returns the mask of columns it could not compute exactly (group
+     * maxima or register values outside the fast gate); their reg[c]
+     * is left untouched, so the caller can redo that column's tile
+     * through the scalar entry, which is the original per-cell loop
+     * (one column, never misses).
+     */
+    std::uint32_t (*fp22Panel)(const double *a, const double *b,
+                               std::size_t ldb, std::size_t kcnt,
+                               std::size_t group,
+                               double *reg) = nullptr;
+    /** Columns per fp22Panel call (1 scalar, 4 AVX2, 8 AVX-512). */
+    std::size_t fp22PanelCols = 1;
 };
 
 /**
@@ -246,7 +266,6 @@ DispatchChoice chooseIsa(const char *env, unsigned available);
 const KernelTable *scalarKernelTable();
 const KernelTable *avx2KernelTable();
 const KernelTable *avx512KernelTable();
-const KernelTable *neonKernelTable();
 
 } // namespace detail
 

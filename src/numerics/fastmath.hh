@@ -2,10 +2,10 @@
  * @file
  * Pinned scalar numerics shared by every dispatch path.
  *
- * The SIMD kernels (kernels_avx2.cc / kernels_avx512.cc /
- * kernels_neon.cc) must produce byte-identical results to the scalar
- * path for every input, so the operations they vectorize cannot be
- * whatever libm or the optimizer happens to emit -- they have to be a
+ * The SIMD kernels (kernels_avx2.cc / kernels_avx512.cc) must
+ * produce byte-identical results to the scalar path for every input,
+ * so the operations they vectorize cannot be whatever libm or the
+ * optimizer happens to emit -- they have to be a
  * *pinned* sequence of correctly-rounded IEEE-754 operations that a
  * lane of any width reproduces exactly. This header is that pinned
  * definition:
@@ -28,7 +28,7 @@
  *        dot   = s2[0] + s2[1]
  *
  *    The lane count is 8 on every ISA -- AVX-512 holds it in one
- *    register, AVX2 in two, NEON in four -- so tile sums are
+ *    register, AVX2 in two -- so tile sums are
  *    bit-identical across ISAs, thread widths, and this scalar
  *    reference. pinnedDotF32 is the BF16-pipeline variant: the same
  *    order with float lanes (each product converted to float before

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "numerics/minifloat.hh"
@@ -41,6 +42,15 @@ enum class AccumMode
 
 const char *accumModeName(AccumMode mode);
 
+/** Fraction bits a tensor-core group keeps after alignment (Hopper). */
+inline constexpr int kGroupFractionBits = 13;
+
+/**
+ * Bits of a double that survive truncation to FP22 (E8M13) when the
+ * value is FP22-normal: sign, exponent, top 13 mantissa bits.
+ */
+inline constexpr std::uint64_t kFp22KeepMask = ~((1ULL << 39) - 1);
+
 /**
  * Align-and-truncate sum of one tensor-core instruction group.
  *
@@ -52,7 +62,7 @@ const char *accumModeName(AccumMode mode);
  * @param fraction_bits retained fraction bits (13 on Hopper)
  */
 double alignedGroupSum(std::span<const double> products,
-                       int fraction_bits = 13);
+                       int fraction_bits = kGroupFractionBits);
 
 /**
  * FP22 register emulation: every value stored in the register is
@@ -61,6 +71,10 @@ double alignedGroupSum(std::span<const double> products,
 class Fp22Register
 {
   public:
+    Fp22Register() = default;
+    /** Resume from a saved register value (already FP22). */
+    explicit Fp22Register(double value) : value_(value) {}
+
     /** Add a (group-summed) value; result re-truncated to FP22. */
     void add(double value);
 

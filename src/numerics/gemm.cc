@@ -1,6 +1,7 @@
 #include "numerics/gemm.hh"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "common/logging.hh"
@@ -69,6 +70,50 @@ forRowBlocks(std::size_t m,
     });
 }
 
+/**
+ * Reject options the GEMM loops cannot run: a zero group or tile
+ * never advances K, and fine-grained scales cannot be folded without
+ * a promotion step.
+ */
+void
+validateGemmOptions(const GemmOptions &options)
+{
+    DSV3_ASSERT(options.fmt, "GemmOptions: fmt must not be null");
+    DSV3_ASSERT(options.tileK > 0, "GemmOptions: tileK must be >= 1");
+    DSV3_ASSERT(options.groupSize > 0,
+                "GemmOptions: groupSize must be >= 1");
+    if (options.accum == AccumMode::FP22_NO_PROMOTION) {
+        DSV3_ASSERT(!options.fineGrained,
+                    "FP22-only accumulation cannot fold fine-grained "
+                    "scales (no promotion step exists)");
+    }
+}
+
+/**
+ * Fold one K-tile into the FP22 registers of a row's n columns:
+ * fp22PanelCols columns per panel call, and the scalar entry (the
+ * per-cell loop) for the tail columns and for any column a panel
+ * reports as a miss -- its register is still the saved one.
+ */
+void
+fp22RowTile(const KernelTable &kt, const KernelTable &scalar,
+            const double *a, const double *b, std::size_t n,
+            std::size_t kcnt, std::size_t group, double *reg)
+{
+    const std::size_t nr = kt.fp22PanelCols;
+    std::size_t j = 0;
+    for (; j + nr <= n; j += nr) {
+        for (std::uint32_t miss =
+                 kt.fp22Panel(a, b + j, n, kcnt, group, reg + j);
+             miss; miss &= miss - 1) {
+            const std::size_t jj = j + std::countr_zero(miss);
+            scalar.fp22Panel(a, b + jj, n, kcnt, group, reg + jj);
+        }
+    }
+    for (; j < n; ++j)
+        scalar.fp22Panel(a, b + j, n, kcnt, group, reg + j);
+}
+
 } // namespace
 
 Matrix
@@ -125,6 +170,7 @@ Matrix
 gemmQuantized(const Matrix &a, const Matrix &b, const GemmOptions &options)
 {
     DSV3_ASSERT(a.cols() == b.rows());
+    validateGemmOptions(options);
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     DSV3_TRACE_SPAN("numerics.gemm.quantized", "m", m, "n", n, "k", k);
     const std::size_t tile_k = options.tileK;
@@ -134,73 +180,58 @@ gemmQuantized(const Matrix &a, const Matrix &b, const GemmOptions &options)
                                                : Granularity::PER_TENSOR;
     const Granularity gb = options.fineGrained
         ? Granularity::BLOCK_128X128 : Granularity::PER_TENSOR;
-    if (options.accum == AccumMode::FP22_NO_PROMOTION) {
-        DSV3_ASSERT(!options.fineGrained,
-                    "FP22-only accumulation cannot fold fine-grained "
-                    "scales (no promotion step exists)");
-    }
-
     QuantizedMatrix aq(a, *options.fmt, ga, tile_k);
     QuantizedMatrix bq(b, *options.fmt, gb, tile_k);
 
     // Decode the raw (unscaled) operand values once in bulk (a LUT
-    // gather for FP8 formats), then pack B k-major so both inner-loop
-    // streams are contiguous.
-    AlignedVector<double> araw(m * k), btmp(k * n);
+    // gather for FP8 formats). The FP22 panels read B row-major; only
+    // the FP32 arm's tile dots want it packed k-major.
+    AlignedVector<double> araw(m * k), braw(k * n);
     aq.decodeRawInto(araw.data());
-    bq.decodeRawInto(btmp.data());
-    const AlignedVector<double> bt =
-        transposed(btmp.data(), k, n);
-    btmp.clear();
-    btmp.shrink_to_fit();
+    bq.decodeRawInto(braw.data());
+    AlignedVector<double> bt;
+    if (options.accum == AccumMode::FP32) {
+        bt = transposed(braw.data(), k, n);
+        braw.clear();
+        braw.shrink_to_fit();
+    }
 
     // Hoist the scale grids out of the inner loops: ascale is (row x
-    // tile), bscale_t is (col x tile) to match the packed B.
+    // tile), bscale is (tile x col).
     const std::size_t num_tiles = (k + tile_k - 1) / tile_k;
     AlignedVector<double> ascale(m * num_tiles);
-    AlignedVector<double> bscale_t(n * num_tiles);
+    AlignedVector<double> bscale(num_tiles * n);
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t t = 0; t < num_tiles; ++t)
             ascale[i * num_tiles + t] = aq.scale(i, t * tile_k);
-    for (std::size_t j = 0; j < n; ++j)
-        for (std::size_t t = 0; t < num_tiles; ++t)
-            bscale_t[j * num_tiles + t] = bq.scale(t * tile_k, j);
+    for (std::size_t t = 0; t < num_tiles; ++t)
+        for (std::size_t j = 0; j < n; ++j)
+            bscale[t * n + j] = bq.scale(t * tile_k, j);
 
     Matrix c(m, n);
     double *cd = c.data().data();
 
-    // The AccumMode switch is hoisted to once per row block; each arm
-    // keeps the scalar reference's exact operation order per output
-    // cell (tile-major, the pinned 8-lane reduction inside the tile,
-    // products grouped per `group` for the tensor-core model), so
-    // results are byte-identical to gemmQuantizedRef at any thread
-    // count and under any dispatch table.
+    // Each arm keeps the scalar reference's exact operation order per
+    // output cell (tiles in order, the pinned 8-lane reduction inside
+    // an FP32 tile, products grouped per `group` for the tensor-core
+    // model), so results are byte-identical to gemmQuantizedRef at any
+    // thread count and under any dispatch table.
     const KernelTable &kt = kernels();
+    const KernelTable &scalar = *kernelTable(KernelIsa::SCALAR);
     forRowBlocks(m, [&](std::size_t i_lo, std::size_t i_hi) {
-        // Tensor-core product group; the instruction width is 32 on
-        // real hardware, so the stack buffer covers every sane config.
-        alignas(64) double stack_buf[64];
-        AlignedVector<double> heap_buf;
-        double *pbuf = stack_buf;
-        if (group > 64) {
-            heap_buf.resize(group);
-            pbuf = heap_buf.data();
-        }
-
-        switch (options.accum) {
-          case AccumMode::FP32:
+        if (options.accum == AccumMode::FP32) {
             for (std::size_t i = i_lo; i < i_hi; ++i) {
                 const double *arow = araw.data() + i * k;
                 const double *as = ascale.data() + i * num_tiles;
                 for (std::size_t j = 0; j < n; ++j) {
                     const double *brow = bt.data() + j * k;
-                    const double *bs = bscale_t.data() + j * num_tiles;
                     float fp32_accum = 0.0f;
                     for (std::size_t t = 0; t < num_tiles; ++t) {
                         const std::size_t k_lo = t * tile_k;
                         const std::size_t k_hi =
                             std::min(k, k_lo + tile_k);
-                        const double combined_scale = as[t] * bs[t];
+                        const double combined_scale =
+                            as[t] * bscale[t * n + j];
                         const double tile_sum = kt.dotTile(
                             arow + k_lo, brow + k_lo, k_hi - k_lo);
                         fp32_accum += (float)(tile_sum * combined_scale);
@@ -208,61 +239,44 @@ gemmQuantized(const Matrix &a, const Matrix &b, const GemmOptions &options)
                     cd[i * n + j] = (double)fp32_accum;
                 }
             }
-            break;
+            return;
+        }
 
-          case AccumMode::FP22:
-            for (std::size_t i = i_lo; i < i_hi; ++i) {
-                const double *arow = araw.data() + i * k;
-                const double *as = ascale.data() + i * num_tiles;
-                for (std::size_t j = 0; j < n; ++j) {
-                    const double *brow = bt.data() + j * k;
-                    const double *bs = bscale_t.data() + j * num_tiles;
-                    float fp32_accum = 0.0f;
-                    for (std::size_t t = 0; t < num_tiles; ++t) {
-                        const std::size_t k_lo = t * tile_k;
-                        const std::size_t k_hi =
-                            std::min(k, k_lo + tile_k);
-                        const double combined_scale = as[t] * bs[t];
-                        Fp22Register reg;
-                        for (std::size_t kk = k_lo; kk < k_hi;) {
-                            const std::size_t lim =
-                                std::min(k_hi, kk + group);
-                            const std::size_t cnt = lim - kk;
-                            kt.mulSpan(arow + kk, brow + kk, pbuf, cnt);
-                            kk = lim;
-                            reg.add(alignedGroupSum({pbuf, cnt}));
-                        }
-                        // Promotion: CUDA cores fold the dequant scales.
-                        fp32_accum +=
-                            (float)(reg.value() * combined_scale);
-                    }
-                    cd[i * n + j] = (double)fp32_accum;
-                }
+        // FP22 arms: tile-major over the block, so the tile's rows of
+        // B stay cached while every row of the block streams past
+        // them. Each cell still folds its tiles in order, and
+        // FP22_NO_PROMOTION carries the register across tiles.
+        const bool promote = options.accum == AccumMode::FP22;
+        const std::size_t rows = i_hi - i_lo;
+        AlignedVector<double> reg(rows * n, 0.0);
+        std::vector<float> fp32_accum(promote ? rows * n : 0, 0.0f);
+        for (std::size_t t = 0; t < num_tiles; ++t) {
+            const std::size_t k_lo = t * tile_k;
+            const std::size_t kcnt = std::min(k, k_lo + tile_k) - k_lo;
+            const double *btile = braw.data() + k_lo * n;
+            const double *bs = bscale.data() + t * n;
+            for (std::size_t r = 0; r < rows; ++r) {
+                const std::size_t i = i_lo + r;
+                double *rreg = reg.data() + r * n;
+                if (promote)
+                    std::fill_n(rreg, n, 0.0);
+                fp22RowTile(kt, scalar, araw.data() + i * k + k_lo,
+                            btile, n, kcnt, group, rreg);
+                if (!promote)
+                    continue;
+                // Promotion: CUDA cores fold the dequant scales.
+                const double as = ascale[i * num_tiles + t];
+                float *acc = fp32_accum.data() + r * n;
+                for (std::size_t j = 0; j < n; ++j)
+                    acc[j] += (float)(rreg[j] * (as * bs[j]));
             }
-            break;
-
-          case AccumMode::FP22_NO_PROMOTION:
-            for (std::size_t i = i_lo; i < i_hi; ++i) {
-                const double *arow = araw.data() + i * k;
-                const double *as = ascale.data() + i * num_tiles;
-                for (std::size_t j = 0; j < n; ++j) {
-                    const double *brow = bt.data() + j * k;
-                    const double *bs = bscale_t.data() + j * num_tiles;
-                    Fp22Register whole_k;
-                    for (std::size_t kk = 0; kk < k;) {
-                        const std::size_t k_hi = std::min(
-                            k, (kk / tile_k) * tile_k + tile_k);
-                        const std::size_t lim =
-                            std::min(k_hi, kk + group);
-                        const std::size_t cnt = lim - kk;
-                        kt.mulSpan(arow + kk, brow + kk, pbuf, cnt);
-                        kk = lim;
-                        whole_k.add(alignedGroupSum({pbuf, cnt}));
-                    }
-                    cd[i * n + j] = whole_k.value() * (as[0] * bs[0]);
-                }
-            }
-            break;
+        }
+        for (std::size_t r = 0; r < rows; ++r) {
+            const std::size_t i = i_lo + r;
+            for (std::size_t j = 0; j < n; ++j)
+                cd[i * n + j] = promote
+                    ? (double)fp32_accum[r * n + j]
+                    : reg[r * n + j] * (ascale[i * num_tiles] * bscale[j]);
         }
     });
 
@@ -322,6 +336,7 @@ gemmQuantizedRef(const Matrix &a, const Matrix &b,
                  const GemmOptions &options)
 {
     DSV3_ASSERT(a.cols() == b.rows());
+    validateGemmOptions(options);
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     const std::size_t tile_k = options.tileK;
     const std::size_t group = options.groupSize;
@@ -330,11 +345,6 @@ gemmQuantizedRef(const Matrix &a, const Matrix &b,
                                                : Granularity::PER_TENSOR;
     const Granularity gb = options.fineGrained
         ? Granularity::BLOCK_128X128 : Granularity::PER_TENSOR;
-    if (options.accum == AccumMode::FP22_NO_PROMOTION) {
-        DSV3_ASSERT(!options.fineGrained,
-                    "FP22-only accumulation cannot fold fine-grained "
-                    "scales (no promotion step exists)");
-    }
 
     QuantizedMatrix aq(a, *options.fmt, ga, tile_k);
     QuantizedMatrix bq(b, *options.fmt, gb, tile_k);

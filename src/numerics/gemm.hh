@@ -51,6 +51,9 @@ Matrix gemmBf16(const Matrix &a, const Matrix &b);
  *    whole K reduction (requires per-tensor granularity: fine-grained
  *    scales cannot be folded without promotion, which is exactly the
  *    dequantization-overhead point of Sec 3.1.1).
+ *
+ * Both this and gemmQuantizedRef abort with a message naming the
+ * field when fmt is null or tileK / groupSize is 0.
  */
 Matrix gemmQuantized(const Matrix &a, const Matrix &b,
                      const GemmOptions &options);

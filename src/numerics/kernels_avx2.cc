@@ -34,6 +34,7 @@
 #include <limits>
 
 #include "numerics/fastmath.hh"
+#include "numerics/fp22.hh"
 #include "numerics/kernels.hh"
 
 namespace dsv3::numerics {
@@ -859,19 +860,6 @@ dotTileF32Avx2(const double *a, const double *b, std::size_t n)
     return s2[0] + s2[1];
 }
 
-void
-mulSpanAvx2(const double *a, const double *b, double *out,
-            std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        _mm256_storeu_pd(out + i,
-                         _mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                       _mm256_loadu_pd(b + i)));
-    for (; i < n; ++i)
-        out[i] = a[i] * b[i];
-}
-
 std::uint64_t
 absBitsMaxAvx2(const double *in, std::size_t n)
 {
@@ -924,6 +912,78 @@ truncSumAvx2(const double *in, std::size_t n, double inv_quantum,
     return sum;
 }
 
+/** Lanes of @p v in [lo, hi] (signed compare; values are < 2^63). */
+inline __m256i
+inRange(__m256i v, long long lo, long long hi)
+{
+    return _mm256_andnot_si256(
+        _mm256_cmpgt_epi64(v, _mm256_set1_epi64x(hi)),
+        _mm256_cmpgt_epi64(v, _mm256_set1_epi64x(lo - 1)));
+}
+
+/**
+ * FP22 panel, one output column per lane: the AVX-512 kernel's gates
+ * and steps with vector masks, summing the truncated terms as exact
+ * integer-valued doubles instead of int64.
+ */
+std::uint32_t
+fp22PanelAvx2(const double *a, const double *b, std::size_t ldb,
+              std::size_t kcnt, std::size_t group, double *reg)
+{
+    if (kGroupFractionBits + (int)std::bit_width(group) > 53)
+        return 0xf; // alignedGroupSum's sequential, inexact path
+    const __m256i vabs_mask = _mm256_set1_epi64x((long long)kAbsMask);
+    const __m256i vzero = _mm256_setzero_si256();
+    __m256d vreg = _mm256_loadu_pd(reg);
+    __m256i miss = vzero;
+    for (std::size_t kk = 0; kk < kcnt;) {
+        const std::size_t lim = std::min(kcnt, kk + group);
+        __m256i mx = vzero;
+        for (std::size_t q = kk; q < lim; ++q) {
+            const __m256i mag = _mm256_and_si256(
+                _mm256_castpd_si256(_mm256_mul_pd(
+                    _mm256_set1_pd(a[q]), _mm256_loadu_pd(b + q * ldb))),
+                vabs_mask);
+            mx = _mm256_blendv_epi8(mx, mag, _mm256_cmpgt_epi64(mag, mx));
+        }
+        const __m256i e = _mm256_srli_epi64(mx, 52);
+        const __m256i fast = inRange(e, 13, 2005);
+        miss = _mm256_or_si256(
+            miss, notMask(_mm256_or_si256(
+                      fast, _mm256_cmpeq_epi64(mx, vzero))));
+        const __m256d vinv = _mm256_castsi256_pd(_mm256_slli_epi64(
+            _mm256_sub_epi64(_mm256_set1_epi64x(2058), e), 52));
+        const __m256d vq = _mm256_castsi256_pd(_mm256_slli_epi64(
+            _mm256_sub_epi64(e, _mm256_set1_epi64x(12)), 52));
+        __m256d tsum = _mm256_setzero_pd();
+        for (std::size_t q = kk; q < lim; ++q) {
+            const __m256d p = _mm256_mul_pd(
+                _mm256_set1_pd(a[q]), _mm256_loadu_pd(b + q * ldb));
+            tsum = _mm256_add_pd(
+                tsum, _mm256_round_pd(_mm256_mul_pd(p, vinv),
+                                      _MM_FROUND_TO_ZERO |
+                                          _MM_FROUND_NO_EXC));
+        }
+        kk = lim;
+        const __m256d sum = _mm256_and_pd(_mm256_mul_pd(tsum, vq),
+                                          _mm256_castsi256_pd(fast));
+        const __m256i x =
+            _mm256_castpd_si256(_mm256_add_pd(vreg, sum));
+        const __m256i xe = _mm256_and_si256(_mm256_srli_epi64(x, 52),
+                                            _mm256_set1_epi64x(0x7ff));
+        miss = _mm256_or_si256(
+            miss,
+            notMask(_mm256_or_si256(
+                inRange(xe, 897, 1150),
+                _mm256_cmpeq_epi64(_mm256_and_si256(x, vabs_mask),
+                                   vzero))));
+        vreg = _mm256_castsi256_pd(_mm256_and_si256(
+            x, _mm256_set1_epi64x((long long)kFp22KeepMask)));
+    }
+    _mm256_maskstore_pd(reg, notMask(miss), vreg);
+    return (std::uint32_t)_mm256_movemask_pd(_mm256_castsi256_pd(miss));
+}
+
 const KernelTable kAvx2Table = [] {
     KernelTable t;
     t.isa = KernelIsa::AVX2;
@@ -940,9 +1000,10 @@ const KernelTable kAvx2Table = [] {
     t.logfmtDecode = logfmtDecodeAvx2;
     t.dotTile = dotTileAvx2;
     t.dotTileF32 = dotTileF32Avx2;
-    t.mulSpan = mulSpanAvx2;
     t.absBitsMax = absBitsMaxAvx2;
     t.truncSum = truncSumAvx2;
+    t.fp22Panel = fp22PanelAvx2;
+    t.fp22PanelCols = 4;
     return t;
 }();
 

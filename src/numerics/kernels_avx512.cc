@@ -38,12 +38,14 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 
 #include "numerics/fastmath.hh"
+#include "numerics/fp22.hh"
 #include "numerics/kernels.hh"
 
 namespace dsv3::numerics {
@@ -725,24 +727,6 @@ dotTileF32Avx512(const double *a, const double *b, std::size_t n)
         _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0x1)));
 }
 
-void
-mulSpanAvx512(const double *a, const double *b, double *out,
-              std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm512_storeu_pd(out + i,
-                         _mm512_mul_pd(_mm512_loadu_pd(a + i),
-                                       _mm512_loadu_pd(b + i)));
-    if (i < n) {
-        const __mmask8 t = tailMask8(n - i);
-        _mm512_mask_storeu_pd(
-            out + i, t,
-            _mm512_mul_pd(_mm512_maskz_loadu_pd(t, a + i),
-                          _mm512_maskz_loadu_pd(t, b + i)));
-    }
-}
-
 std::uint64_t
 absBitsMaxAvx512(const double *in, std::size_t n)
 {
@@ -796,6 +780,75 @@ truncSumAvx512(const double *in, std::size_t n, double inv_quantum,
     return _mm512_reduce_add_pd(acc);
 }
 
+/**
+ * FP22 panel, one output column per lane. Per group: pass 1 takes
+ * each lane's largest product magnitude bits; pass 2 sums
+ * trunc(p * 2^(13 - max_e)) as int64 and scales by the quantum once.
+ * See "FP22 panel microkernel" in DESIGN.md for why each step is
+ * bit-identical to alignedGroupSum + Fp22Register::add.
+ */
+std::uint32_t
+fp22PanelAvx512(const double *a, const double *b, std::size_t ldb,
+                std::size_t kcnt, std::size_t group, double *reg)
+{
+    if (kGroupFractionBits + (int)std::bit_width(group) > 53)
+        return 0xff; // alignedGroupSum's sequential, inexact path
+    const __m512i vabs_mask = _mm512_set1_epi64((long long)kAbsMask);
+    __m512d vreg = _mm512_loadu_pd(reg);
+    __mmask8 miss = 0;
+    for (std::size_t kk = 0; kk < kcnt;) {
+        const std::size_t lim = std::min(kcnt, kk + group);
+        __m512i mx = _mm512_setzero_si512();
+        for (std::size_t q = kk; q < lim; ++q) {
+            const __m512d p = _mm512_mul_pd(
+                _mm512_set1_pd(a[q]), _mm512_loadu_pd(b + q * ldb));
+            mx = _mm512_max_epu64(
+                mx, _mm512_and_si512(_mm512_castpd_si512(p),
+                                     vabs_mask));
+        }
+        // e = biased exponent of the group max. The fast gate is
+        // e in [13, 2005]: normal, finite, a normal quantum
+        // 2^(e - 1035) (bits e - 12) and inv_e = 1035 - e >= -970
+        // (bits 2058 - e). All-zero lanes (mx == 0) are exact too:
+        // their sum is +0.
+        const __m512i e = _mm512_srli_epi64(mx, 52);
+        const __mmask8 fast = _mm512_cmple_epu64_mask(
+            _mm512_sub_epi64(e, _mm512_set1_epi64(13)),
+            _mm512_set1_epi64(2005 - 13));
+        miss |= (__mmask8)~(fast | _mm512_testn_epi64_mask(mx, mx));
+        const __m512d vinv = _mm512_castsi512_pd(_mm512_slli_epi64(
+            _mm512_sub_epi64(_mm512_set1_epi64(2058), e), 52));
+        const __m512d vq = _mm512_castsi512_pd(_mm512_slli_epi64(
+            _mm512_sub_epi64(e, _mm512_set1_epi64(12)), 52));
+        __m512i isum = _mm512_setzero_si512();
+        for (std::size_t q = kk; q < lim; ++q) {
+            const __m512d p = _mm512_mul_pd(
+                _mm512_set1_pd(a[q]), _mm512_loadu_pd(b + q * ldb));
+            isum = _mm512_add_epi64(
+                isum, _mm512_cvttpd_epi64(_mm512_mul_pd(p, vinv)));
+        }
+        kk = lim;
+        const __m512d sum =
+            _mm512_maskz_mul_pd(fast, _mm512_cvtepi64_pd(isum), vq);
+        // FP22 truncation of reg + sum: for +-0 and FP22-normal
+        // values (biased double exponent 897..1150) it clears the low
+        // 39 mantissa bits; overflow and FP22 subnormals miss.
+        const __m512i x =
+            _mm512_castpd_si512(_mm512_add_pd(vreg, sum));
+        const __m512i xe = _mm512_and_si512(_mm512_srli_epi64(x, 52),
+                                            _mm512_set1_epi64(0x7ff));
+        const __mmask8 in_range = _mm512_cmple_epu64_mask(
+            _mm512_sub_epi64(xe, _mm512_set1_epi64(897)),
+            _mm512_set1_epi64(1150 - 897));
+        miss |= (__mmask8)~(in_range |
+                            _mm512_testn_epi64_mask(x, vabs_mask));
+        vreg = _mm512_castsi512_pd(_mm512_and_si512(
+            x, _mm512_set1_epi64((long long)kFp22KeepMask)));
+    }
+    _mm512_mask_storeu_pd(reg, (__mmask8)~miss, vreg);
+    return miss;
+}
+
 const KernelTable kAvx512Table = [] {
     KernelTable t;
     t.isa = KernelIsa::AVX512;
@@ -812,9 +865,10 @@ const KernelTable kAvx512Table = [] {
     t.logfmtDecode = logfmtDecodeAvx512;
     t.dotTile = dotTileAvx512;
     t.dotTileF32 = dotTileF32Avx512;
-    t.mulSpan = mulSpanAvx512;
     t.absBitsMax = absBitsMaxAvx512;
     t.truncSum = truncSumAvx512;
+    t.fp22Panel = fp22PanelAvx512;
+    t.fp22PanelCols = 8;
     return t;
 }();
 

@@ -12,9 +12,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "numerics/dispatch.hh"
 #include "numerics/fastmath.hh"
+#include "numerics/fp22.hh"
 #include "numerics/kernels.hh"
 
 namespace dsv3::numerics {
@@ -201,14 +203,6 @@ dotTileF32Scalar(const double *a, const double *b, std::size_t n)
     return fastmath::pinnedDotF32(a, b, n);
 }
 
-void
-mulSpanScalar(const double *a, const double *b, double *out,
-              std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = a[i] * b[i];
-}
-
 std::uint64_t
 absBitsMaxScalar(const double *in, std::size_t n)
 {
@@ -231,6 +225,33 @@ truncSumScalar(const double *in, std::size_t n, double inv_quantum,
     return sum;
 }
 
+/**
+ * The per-cell FP22 loop for one column: gather the column's products
+ * group by group and fold each alignedGroupSum into the register. It
+ * handles every input (non-finite, subnormal, saturating), so it
+ * never reports a miss.
+ */
+std::uint32_t
+fp22PanelScalar(const double *a, const double *b, std::size_t ldb,
+                std::size_t kcnt, std::size_t group, double *reg)
+{
+    // The tensor-core instruction group is 32 on real hardware, so
+    // the stack buffer covers every sane config.
+    alignas(64) double stack_buf[64];
+    std::vector<double> heap_buf(group > 64 ? group : 0);
+    double *pbuf = group > 64 ? heap_buf.data() : stack_buf;
+    Fp22Register r(*reg);
+    for (std::size_t kk = 0; kk < kcnt;) {
+        const std::size_t lim = std::min(kcnt, kk + group);
+        const std::size_t cnt = lim - kk;
+        for (std::size_t q = 0; q < cnt; ++q, ++kk)
+            pbuf[q] = a[kk] * b[kk * ldb];
+        r.add(alignedGroupSum({pbuf, cnt}));
+    }
+    *reg = r.value();
+    return 0;
+}
+
 const KernelTable kScalarTable = [] {
     KernelTable t;
     t.isa = KernelIsa::SCALAR;
@@ -247,9 +268,9 @@ const KernelTable kScalarTable = [] {
     t.logfmtDecode = logfmtDecodeScalar;
     t.dotTile = dotTileScalar;
     t.dotTileF32 = dotTileF32Scalar;
-    t.mulSpan = mulSpanScalar;
     t.absBitsMax = absBitsMaxScalar;
     t.truncSum = truncSumScalar;
+    t.fp22Panel = fp22PanelScalar;
     return t;
 }();
 

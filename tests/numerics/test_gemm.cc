@@ -157,5 +157,42 @@ TEST(GemmQuantizedDeath, NoPromotionRejectsFineGrained)
     EXPECT_DEATH((void)gemmQuantized(a, b, opt), "fine-grained");
 }
 
+// A zero group or tile size never advances K: both entry points must
+// refuse it up front (naming the field) instead of spinning.
+TEST(GemmQuantizedDeath, ZeroGroupSizeRejected)
+{
+    Matrix a = randomMatrix(2, 64, 18);
+    Matrix b = randomMatrix(64, 2, 19);
+    GemmOptions opt;
+    opt.groupSize = 0;
+    EXPECT_DEATH((void)gemmQuantized(a, b, opt),
+                 "groupSize must be >= 1");
+    EXPECT_DEATH((void)gemmQuantizedRef(a, b, opt),
+                 "groupSize must be >= 1");
+}
+
+TEST(GemmQuantizedDeath, ZeroTileKRejected)
+{
+    Matrix a = randomMatrix(2, 64, 20);
+    Matrix b = randomMatrix(64, 2, 21);
+    GemmOptions opt;
+    opt.tileK = 0;
+    EXPECT_DEATH((void)gemmQuantized(a, b, opt), "tileK must be >= 1");
+    EXPECT_DEATH((void)gemmQuantizedRef(a, b, opt),
+                 "tileK must be >= 1");
+}
+
+TEST(GemmQuantizedDeath, NullFormatRejected)
+{
+    Matrix a = randomMatrix(2, 64, 22);
+    Matrix b = randomMatrix(64, 2, 23);
+    GemmOptions opt;
+    opt.fmt = nullptr;
+    EXPECT_DEATH((void)gemmQuantized(a, b, opt),
+                 "fmt must not be null");
+    EXPECT_DEATH((void)gemmQuantizedRef(a, b, opt),
+                 "fmt must not be null");
+}
+
 } // namespace
 } // namespace dsv3::numerics
