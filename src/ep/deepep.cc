@@ -1,6 +1,7 @@
 #include "ep/deepep.hh"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "common/logging.hh"
@@ -80,54 +81,53 @@ routeAllTokens(const net::Cluster &cluster, const EpWorkload &w,
     tc.interHostCopies.assign(gpus, std::vector<double>(hosts, 0.0));
     tc.deliveries.assign(gpus, std::vector<double>(gpus, 0.0));
 
-    // Per-token destination sets, reused so the loop never allocates.
-    std::vector<std::uint32_t> dst_hosts, dst_gpus, live;
-    auto dedup = [](std::vector<std::uint32_t> &v) {
-        std::sort(v.begin(), v.end());
-        v.erase(std::unique(v.begin(), v.end()), v.end());
+    // Per-token destination sets as bitsets over GPUs and hosts, and
+    // one decision, all reused so the loop never allocates.
+    std::vector<std::uint64_t> dst_gpus((gpus + 63) / 64),
+        dst_hosts((hosts + 63) / 64);
+    auto set = [](std::vector<std::uint64_t> &bits, std::size_t i) {
+        bits[i / 64] |= std::uint64_t{1} << (i % 64);
     };
+    // Visit and clear every set bit.
+    auto drain = [](std::vector<std::uint64_t> &bits, auto &&f) {
+        for (std::size_t w = 0; w < bits.size(); ++w) {
+            for (std::uint64_t b = bits[w]; b; b &= b - 1)
+                f(w * 64 + (std::size_t)std::countr_zero(b));
+            bits[w] = 0;
+        }
+    };
+    moe::RoutingDecision decision;
     const bool masking = dead && !dead->empty();
     for (std::size_t src = 0; src < gpus; ++src) {
         if (masking && (*dead)[src])
             continue; // crashed rank: emits no tokens
         moe::TokenScoreGenerator gen(w.gate.experts, w.popularitySkew,
                                      w.seed + src);
+        const std::size_t src_host = cluster.hostOf(src);
         for (std::size_t t = 0; t < w.tokensPerGpu; ++t) {
-            auto decision = gate.routeNext(gen, &tally);
-            dst_hosts.clear();
-            dst_gpus.clear();
-            for (std::uint32_t e : decision.experts) {
-                dst_hosts.push_back(placement.node(e));
-                dst_gpus.push_back(placement.gpu(e));
-            }
-            dedup(dst_hosts);
-            dedup(dst_gpus);
-            if (masking) {
-                // Deliveries to crashed expert hosts are lost; hosts
-                // with no surviving delivery get no IB copy either.
-                live.clear();
-                for (std::uint32_t g : dst_gpus) {
-                    if ((*dead)[g])
-                        tc.droppedDeliveries += 1.0;
-                    else
-                        live.push_back(g);
+            gate.routeNext(gen, decision, &tally);
+            for (std::uint32_t e : decision.experts)
+                set(dst_gpus, placement.gpu(e));
+            // Deliveries to crashed expert GPUs are lost; hosts with
+            // no surviving delivery get no IB copy either.
+            std::size_t gpus_touched = 0, hosts_touched = 0;
+            drain(dst_gpus, [&](std::size_t g) {
+                if (masking && (*dead)[g]) {
+                    tc.droppedDeliveries += 1.0;
+                    return;
                 }
-                std::swap(dst_gpus, live);
-                dst_hosts.clear();
-                for (std::uint32_t g : dst_gpus)
-                    dst_hosts.push_back(
-                        (std::uint32_t)cluster.hostOf(g));
-                dedup(dst_hosts);
-            }
-            tc.sumNodesTouched += (double)dst_hosts.size();
-            tc.sumGpusTouched += (double)dst_gpus.size();
-            tc.tokens += 1.0;
-            for (std::uint32_t h : dst_hosts) {
-                if (h != cluster.hostOf(src))
-                    tc.interHostCopies[src][h] += 1.0;
-            }
-            for (std::uint32_t g : dst_gpus)
+                ++gpus_touched;
                 tc.deliveries[src][g] += 1.0;
+                set(dst_hosts, cluster.hostOf(g));
+            });
+            drain(dst_hosts, [&](std::size_t h) {
+                ++hosts_touched;
+                if (h != src_host)
+                    tc.interHostCopies[src][h] += 1.0;
+            });
+            tc.sumNodesTouched += (double)hosts_touched;
+            tc.sumGpusTouched += (double)gpus_touched;
+            tc.tokens += 1.0;
         }
     }
     return tc;

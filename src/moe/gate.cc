@@ -1,11 +1,14 @@
 #include "moe/gate.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "common/logging.hh"
 #include "moe/token_gen.hh"
+#include "numerics/dispatch.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 
@@ -46,6 +49,9 @@ constexpr double kUnderflow = -700.0;
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+/** Source of TopKGate::id_; 0 marks an unfitted Scratch. */
+std::atomic<std::uint64_t> nextGateId{1};
+
 double
 sigmoid(double logit)
 {
@@ -53,11 +59,12 @@ sigmoid(double logit)
 }
 
 /**
- * One thread's working set for routing a token, sized once per expert
- * count so that routing never allocates past the first token.
+ * One thread's working set for routing a token, fitted to one gate at
+ * a time so that routing never allocates past the gate's first token.
  */
 struct Scratch
 {
+    std::uint64_t gate = 0;     //!< TopKGate::id_ it is fitted to
     std::vector<double> x;      //!< routeNext: the token's draws
     std::vector<double> lo, hi; //!< bounds on each expert's key
     std::vector<double> score;  //!< exact scores, where known
@@ -65,9 +72,11 @@ struct Scratch
     std::vector<double> groupScore;
     std::vector<double> groupLo;        //!< per group: n largest lo
     std::vector<double> top;            //!< running top-n values
-    std::vector<std::uint32_t> winners; //!< selected groups
+    std::vector<std::size_t> groupEnd;  //!< per group: end in cand
+    std::vector<std::uint32_t> byRank;  //!< groups, best first
     std::vector<std::uint32_t> picked;  //!< selected experts
-    std::vector<std::uint32_t> maybe;   //!< contender superset
+    std::vector<std::uint64_t> bits;    //!< one candidate mask
+    std::vector<std::uint32_t> cand;    //!< experts listed from masks
 
     void
     fit(const GateConfig &cfg)
@@ -80,17 +89,24 @@ struct Scratch
         groupScore.resize(cfg.groups);
         groupLo.resize(cfg.groups * n);
         top.resize(std::max(cfg.topK, n));
-        winners.resize(cfg.topKGroups);
+        groupEnd.resize(cfg.groups);
+        byRank.resize(cfg.groups);
         picked.resize(cfg.topK);
-        maybe.resize(cfg.experts);
+        bits.resize(wordsFor(cfg.experts));
+        cand.resize(cfg.experts);
     }
+
+    static std::size_t wordsFor(std::size_t n) { return (n + 63) / 64; }
 };
 
 Scratch &
-scratchFor(const GateConfig &cfg)
+scratchFor(const GateConfig &cfg, std::uint64_t gate)
 {
     thread_local Scratch s;
-    s.fit(cfg);
+    if (s.gate != gate) {
+        s.fit(cfg);
+        s.gate = gate;
+    }
     return s;
 }
 
@@ -106,21 +122,6 @@ mergeTop(double *top, std::size_t n, double v)
         top[j] = std::max(t, v);
         v = std::min(t, v);
     }
-}
-
-/**
- * Insert @p v into the descending run top[0..n), dropping the last;
- * cheap when few values make the run.
- */
-inline void
-pushTop(double *top, std::size_t n, double v)
-{
-    if (!(v > top[n - 1]))
-        return;
-    std::size_t j = n - 1;
-    for (; j > 0 && top[j - 1] < v; --j)
-        top[j] = top[j - 1];
-    top[j] = v;
 }
 
 /** Insert @p i into the best-first run pick[0..count) of capacity k. */
@@ -141,6 +142,22 @@ pushPick(std::uint32_t *pick, std::size_t &count, std::size_t k,
 }
 
 /**
+ * Append first + i for every set bit i of bits[0..words) to @p out,
+ * ascending; returns how many.
+ */
+inline std::size_t
+appendSetBits(const std::uint64_t *bits, std::size_t words,
+              std::uint32_t first, std::uint32_t *out)
+{
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < words; ++w)
+        for (std::uint64_t b = bits[w]; b; b &= b - 1)
+            out[count++] =
+                first + (std::uint32_t)(w * 64 + std::countr_zero(b));
+    return count;
+}
+
+/**
  * The selection core: experts in the order (score desc, index asc),
  * node-limited groups ranked by the sum of their top-n scores (summed
  * in descending order from 0.0, ties to the lower group), exactly as
@@ -149,14 +166,17 @@ pushPick(std::uint32_t *pick, std::size_t &count, std::size_t k,
  *
  * lo[i] <= key(i) <= hi[i] bound a key the score increases with: the
  * logit (bounded mode, @p margin kMargin) or the score itself (full
- * mode, margin 0, every score known). refine(i) makes s.score[i] exact
- * and tightens lo[i] = hi[i] to the exact key; it returns false when
- * the key may lie where the margin argument fails.
+ * mode, margin 0, every score known). refine(idx, count) makes
+ * s.score[i] exact and tightens lo[i] = hi[i] to the exact key for
+ * the listed experts, in order; it returns false at the first whose
+ * key may lie where the margin argument fails.
  *
  * A k-th largest lower bound t proves every expert with hi < t - margin
- * is beaten by k experts, so only the rest are refined. Returns false
- * when the bounds cannot decide: the caller then scores every expert
- * and reruns in full mode.
+ * is beaten by k experts, so only the rest are refined. The scans over
+ * the bounds are the KernelTable's gate slots (topNPerSegment,
+ * maskAtLeast); only the few set bits of their masks take a branch.
+ * Returns false when the bounds cannot decide: the caller then scores
+ * every expert and reruns in full mode.
  */
 template <class Refine>
 bool
@@ -164,110 +184,120 @@ selectExperts(const GateConfig &cfg, Scratch &s, const double *lo,
               const double *hi, double margin, Refine &&refine,
               RoutingDecision &out)
 {
+    const numerics::KernelTable &kt = numerics::kernels();
     const std::size_t per_group = cfg.expertsPerGroup();
     // With every group admitted the group stage cannot change the
     // candidate set.
     const bool grouped =
         cfg.nodeLimited() && cfg.topKGroups < cfg.groups;
     double *top = s.top.data();
-    std::uint32_t *maybe = s.maybe.data();
+    std::uint64_t *bits = s.bits.data();
+    std::uint32_t *cand = s.cand.data();
+    const double *score = s.score.data();
 
     const std::size_t n = std::min(cfg.groupTopScores, per_group);
     if (grouped) {
-        for (std::size_t g = 0; g < cfg.groups; ++g) {
-            const std::uint32_t first = g * (std::uint32_t)per_group;
-            const std::uint32_t last = first + (std::uint32_t)per_group;
+        // Pass 1 reads only bounds: every group's n largest lower
+        // bounds (kept for the k-th pass), then its contenders
+        // {i : hi[i] >= n-th largest lo - margin}, listed group after
+        // group. Refining a group moves only its own bounds, so all
+        // of them are listed first and refined in one batch.
+        double *group_lo = s.groupLo.data();
+        std::size_t count = 0;
+        if (n > 0) {
+            kt.topNPerSegment(lo, cfg.groups, per_group, n, group_lo);
+            for (std::size_t g = 0; g < cfg.groups; ++g) {
+                const double cut = group_lo[g * n + n - 1] - margin;
+                if (!(cut > kUnderflow)) {
+                    // Group by group, the earlier groups' contenders
+                    // would be refined before this check: count them.
+                    refine(cand, count);
+                    return false;
+                }
+                kt.maskAtLeast(hi + g * per_group, per_group, cut, bits);
+                count += appendSetBits(bits, Scratch::wordsFor(per_group),
+                                       (std::uint32_t)(g * per_group),
+                                       cand + count);
+                s.groupEnd[g] = count;
+            }
+            if (!refine(cand, count))
+                return false;
+        }
+        for (std::size_t g = 0, j = 0; g < cfg.groups; ++g) {
             double sum = 0.0;
             if (n > 0) {
-                // The group's n largest lower bounds, kept for the
-                // final stage's k-th largest.
-                double *group_lo = &s.groupLo[g * n];
-                std::fill(group_lo, group_lo + n, kNegInf);
-                std::size_t found = 0;
-                for (std::uint32_t i = first; i < last; ++i) {
-                    mergeTop(group_lo, n, lo[i]);
-                    // The running n-th largest only rises, so this
-                    // keeps a superset of the final contenders.
-                    maybe[found] = i;
-                    found += hi[i] >= group_lo[n - 1] - margin;
-                }
-                const double cut = group_lo[n - 1] - margin;
-                if (!(cut > kUnderflow))
-                    return false;
                 std::fill(top, top + n, kNegInf);
-                for (std::size_t j = 0; j < found; ++j) {
-                    const std::uint32_t i = maybe[j];
-                    if (hi[i] < cut)
-                        continue;
-                    if (!refine(i))
-                        return false;
-                    mergeTop(top, n, s.score[i]);
-                }
-                for (std::size_t j = 0; j < n; ++j)
-                    sum += top[j];
+                for (; j < s.groupEnd[g]; ++j)
+                    mergeTop(top, n, score[cand[j]]);
+                for (std::size_t q = 0; q < n; ++q)
+                    sum += top[q];
             }
             s.groupScore[g] = sum;
         }
+        // Group g's rank is the number of groups that beat it; the
+        // ranks are a permutation, and the first topKGroups win.
         const double *gs = s.groupScore.data();
-        std::size_t count = 0;
-        for (std::uint32_t g = 0; g < cfg.groups; ++g)
-            pushPick(s.winners.data(), count, cfg.topKGroups, g,
-                     [gs](std::uint32_t a, std::uint32_t b) {
-                         return gs[a] > gs[b] ||
-                                (gs[a] == gs[b] && a < b);
-                     });
+        for (std::uint32_t g = 0; g < cfg.groups; ++g) {
+            std::size_t rank = 0;
+            for (std::uint32_t h = 0; h < cfg.groups; ++h)
+                rank += (gs[h] > gs[g]) | ((gs[h] == gs[g]) & (h < g));
+            s.byRank[rank] = g;
+        }
     }
 
-    // Visit the candidate experts: the winning groups' members, or all
-    // experts.
-    auto each_candidate = [&](auto &&f) {
-        if (!grouped) {
-            for (std::uint32_t i = 0; i < cfg.experts; ++i)
-                f(i);
-            return;
-        }
-        for (std::uint32_t g : s.winners) {
-            const std::uint32_t first = g * (std::uint32_t)per_group;
-            for (std::uint32_t i = first; i < first + per_group; ++i)
-                f(i);
-        }
+    // The candidates: the winning groups' members in rank order, or
+    // every expert as one segment.
+    const std::size_t segments = grouped ? cfg.topKGroups : 1;
+    const std::size_t seg_len = grouped ? per_group : cfg.experts;
+    const std::size_t seg_words = Scratch::wordsFor(seg_len);
+    auto seg_first = [&](std::size_t j) {
+        return grouped ? s.byRank[j] * (std::uint32_t)per_group
+                       : std::uint32_t{0};
     };
 
     // The k-th largest lower bound among the candidates. Every
     // winning group's n largest group-stage bounds belong to distinct
     // candidates and refining only raised them, so the k-th largest of
-    // those (-inf when fewer than k) is a floor: the scan then inserts
-    // only the few values above it.
+    // those (-inf when fewer than k) is a floor: only the few values
+    // at or above it, read off a mask, can move the k-th.
     const std::size_t k = cfg.topK;
-    std::fill(top, top + k, kNegInf);
     if (grouped) {
-        for (std::uint32_t g : s.winners)
-            for (std::size_t j = 0; j < n; ++j)
-                pushTop(top, k, s.groupLo[g * n + j]);
-        std::fill(top, top + k - 1, top[k - 1]);
+        std::fill(top, top + k, kNegInf);
+        for (std::size_t j = 0; j < segments; ++j)
+            for (std::size_t q = 0; q < n; ++q)
+                mergeTop(top, k, s.groupLo[s.byRank[j] * n + q]);
+        const double floor = top[k - 1];
+        std::fill(top, top + k - 1, floor);
+        for (std::size_t j = 0; j < segments; ++j) {
+            const std::uint32_t first = seg_first(j);
+            kt.maskAtLeast(lo + first, seg_len, floor, bits);
+            const std::size_t above =
+                appendSetBits(bits, seg_words, first, cand);
+            for (std::size_t q = 0; q < above; ++q)
+                mergeTop(top, k, lo[cand[q]]);
+        }
+    } else {
+        kt.topNPerSegment(lo, 1, cfg.experts, k, top);
     }
-    std::size_t found = 0;
-    each_candidate([&](std::uint32_t i) {
-        pushTop(top, k, lo[i]);
-        maybe[found] = i;
-        found += hi[i] >= top[k - 1] - margin;
-    });
     const double cut = top[k - 1] - margin;
     if (!(cut > kUnderflow))
         return false;
-    const double *score = s.score.data();
+
+    // The final contenders, in candidate order.
+    std::size_t count = 0;
+    for (std::size_t j = 0; j < segments; ++j) {
+        const std::uint32_t first = seg_first(j);
+        kt.maskAtLeast(hi + first, seg_len, cut, bits);
+        count += appendSetBits(bits, seg_words, first, cand + count);
+    }
+    if (!refine(cand, count))
+        return false;
     auto better = [score](std::uint32_t a, std::uint32_t b) {
         return score[a] > score[b] || (score[a] == score[b] && a < b);
     };
-    std::size_t count = 0;
-    for (std::size_t j = 0; j < found; ++j) {
-        const std::uint32_t i = maybe[j];
-        if (hi[i] < cut)
-            continue;
-        if (!refine(i))
-            return false;
-        pushPick(s.picked.data(), count, k, i, better);
-    }
+    std::size_t picked = 0;
+    for (std::size_t j = 0; j < count; ++j)
+        pushPick(s.picked.data(), picked, k, cand[j], better);
     out.experts.assign(s.picked.begin(), s.picked.end());
     return true;
 }
@@ -283,44 +313,54 @@ GateTally::~GateTally()
     fallbacks_.flushTo(stats.fallbacks);
 }
 
-TopKGate::TopKGate(const GateConfig &cfg) : cfg_(cfg)
+TopKGate::TopKGate(const GateConfig &cfg)
+    : cfg_(cfg), id_(nextGateId.fetch_add(1, std::memory_order_relaxed))
 {
-    DSV3_ASSERT(cfg_.experts > 0);
-    DSV3_ASSERT(cfg_.topK > 0 && cfg_.topK <= cfg_.experts);
-    DSV3_ASSERT(cfg_.groups >= 1);
+    DSV3_ASSERT(cfg_.experts > 0, "GateConfig.experts must be positive");
+    DSV3_ASSERT(cfg_.topK > 0 && cfg_.topK <= cfg_.experts,
+                "GateConfig.topK must be in 1..experts (topK = ",
+                cfg_.topK, ", experts = ", cfg_.experts, ")");
+    DSV3_ASSERT(cfg_.groups >= 1, "GateConfig.groups must be at least 1");
     DSV3_ASSERT(cfg_.experts % cfg_.groups == 0,
-                "experts must divide evenly into groups");
-    DSV3_ASSERT(cfg_.topKGroups >= 1 && cfg_.topKGroups <= cfg_.groups);
+                "GateConfig.experts must divide evenly into "
+                "GateConfig.groups (experts = ",
+                cfg_.experts, ", groups = ", cfg_.groups, ")");
+    DSV3_ASSERT(cfg_.topKGroups >= 1 && cfg_.topKGroups <= cfg_.groups,
+                "GateConfig.topKGroups must be in 1..groups (topKGroups = ",
+                cfg_.topKGroups, ", groups = ", cfg_.groups, ")");
     if (cfg_.nodeLimited()) {
         DSV3_ASSERT(cfg_.topKGroups * cfg_.expertsPerGroup() >= cfg_.topK,
-                    "selected groups must contain >= topK experts");
+                    "GateConfig.topKGroups selected groups must hold at "
+                    "least topK experts");
     }
 }
 
 template <class Logit>
-RoutingDecision
-TopKGate::decide(double *lo, double *hi, Logit &&logit,
-                 GateTally *tally) const
+void
+TopKGate::decide(double *lo, double *hi, Logit &&logit, GateTally *tally,
+                 RoutingDecision &out) const
 {
-    Scratch &s = scratchFor(cfg_);
+    Scratch &s = scratchFor(cfg_, id_);
     GateTally local;
     GateTally &t = tally ? *tally : local;
-    RoutingDecision out;
 
     bool decided = false;
     if (cfg_.scoring == GateScoring::SIGMOID) {
         std::fill(s.known.begin(), s.known.end(), 0);
         std::size_t evals = 0;
-        auto refine = [&](std::uint32_t i) {
-            if (s.known[i])
-                return true;
-            if (!(hi[i] < kSaturated))
-                return false;
-            const double l = logit(i);
-            lo[i] = hi[i] = l;
-            s.score[i] = sigmoid(l);
-            s.known[i] = 1;
-            ++evals;
+        auto refine = [&](const std::uint32_t *idx, std::size_t count) {
+            for (std::size_t j = 0; j < count; ++j) {
+                const std::uint32_t i = idx[j];
+                if (s.known[i])
+                    continue;
+                if (!(hi[i] < kSaturated))
+                    return false;
+                const double l = logit(i);
+                lo[i] = hi[i] = l;
+                s.score[i] = sigmoid(l);
+                s.known[i] = 1;
+                ++evals;
+            }
             return true;
         };
         decided =
@@ -337,6 +377,9 @@ TopKGate::decide(double *lo, double *hi, Logit &&logit,
         if (cfg_.scoring == GateScoring::SOFTMAX) {
             const double mx =
                 *std::max_element(score, score + cfg_.experts);
+            // exp(inf - inf) would make every score NaN.
+            DSV3_ASSERT(std::isfinite(mx),
+                        "softmax gate: the largest logit is ", mx);
             double denom = 0.0;
             for (std::size_t i = 0; i < cfg_.experts; ++i) {
                 score[i] = std::exp(score[i] - mx);
@@ -351,7 +394,10 @@ TopKGate::decide(double *lo, double *hi, Logit &&logit,
         }
         t.exactEvals_.inc(cfg_.experts);
         selectExperts(cfg_, s, score, score, 0.0,
-                      [](std::uint32_t) { return true; }, out);
+                      [](const std::uint32_t *, std::size_t) {
+                          return true;
+                      },
+                      out);
     }
 
     // Combine weights: selected scores normalized by their sum.
@@ -365,7 +411,6 @@ TopKGate::decide(double *lo, double *hi, Logit &&logit,
 
     t.tokens_.inc();
     t.experts_.inc(out.experts.size());
-    return out;
 }
 
 RoutingDecision
@@ -374,27 +419,43 @@ TopKGate::route(std::span<const double> logits) const
     DSV3_ASSERT(logits.size() == cfg_.experts);
     DSV3_TRACE_SPAN("moe.gate.route");
     // Exact bounds: lo = hi = the logit, so only the sigmoids that
-    // can matter are computed.
-    Scratch &s = scratchFor(cfg_);
-    std::copy(logits.begin(), logits.end(), s.lo.begin());
+    // can matter are computed. NaN has no place in the ranking.
+    Scratch &s = scratchFor(cfg_, id_);
+    for (std::size_t i = 0; i < cfg_.experts; ++i) {
+        DSV3_ASSERT(!std::isnan(logits[i]),
+                    "TopKGate::route: the logit of expert ", i,
+                    " is NaN");
+        s.lo[i] = logits[i];
+    }
     const double *l = logits.data();
-    return decide(s.lo.data(), s.lo.data(),
-                  [l](std::size_t i) { return l[i]; }, nullptr);
+    RoutingDecision out;
+    decide(s.lo.data(), s.lo.data(),
+           [l](std::size_t i) { return l[i]; }, nullptr, out);
+    return out;
+}
+
+void
+TopKGate::routeNext(TokenScoreGenerator &gen, RoutingDecision &out,
+                    GateTally *tally) const
+{
+    // No per-token span: callers route token streams and span the
+    // loop (ep.deepep.route_tokens).
+    DSV3_ASSERT(gen.experts() == cfg_.experts);
+    Scratch &s = scratchFor(cfg_, id_);
+    gen.nextDrawn(s.x.data(), s.lo.data(), s.hi.data());
+    const double *x = s.x.data();
+    decide(
+        s.lo.data(), s.hi.data(),
+        [&gen, x](std::size_t i) { return gen.logitOf(i, x[i]); },
+        tally, out);
 }
 
 RoutingDecision
 TopKGate::routeNext(TokenScoreGenerator &gen, GateTally *tally) const
 {
-    // No per-token span: callers route token streams and span the
-    // loop (ep.deepep.route_tokens).
-    DSV3_ASSERT(gen.experts() == cfg_.experts);
-    Scratch &s = scratchFor(cfg_);
-    gen.nextDrawn(s.x.data(), s.lo.data(), s.hi.data());
-    const double *x = s.x.data();
-    return decide(
-        s.lo.data(), s.hi.data(),
-        [&gen, x](std::size_t i) { return gen.logitOf(i, x[i]); },
-        tally);
+    RoutingDecision out;
+    routeNext(gen, out, tally);
+    return out;
 }
 
 std::vector<std::uint32_t>

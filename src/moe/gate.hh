@@ -93,16 +93,23 @@ class TopKGate
      * Route one token given raw logits (length == cfg.experts).
      * Scores are computed per cfg.scoring; weights are re-normalized
      * over the selected experts (DeepSeek-V3 normalizes sigmoid scores
-     * by their sum). Experts rank by (score desc, index asc).
+     * by their sum). Experts rank by (score desc, index asc). A NaN
+     * logit is rejected with a message naming its expert.
      */
     RoutingDecision route(std::span<const double> logits) const;
 
     /**
-     * Route @p gen's next token: exactly route(gen.next()), leaving
-     * @p gen in the same state, but evaluating the Gumbel noise only
-     * for the experts whose bracket lets them matter. Counts into
-     * @p tally when given, else straight into the registry.
+     * Route @p gen's next token into @p out: exactly route(gen.next()),
+     * leaving @p gen in the same state, but evaluating the Gumbel
+     * noise only for the experts whose bracket lets them matter.
+     * Counts into @p tally when given, else straight into the
+     * registry. Reusing @p out across tokens makes routing
+     * allocation-free.
      */
+    void routeNext(TokenScoreGenerator &gen, RoutingDecision &out,
+                   GateTally *tally = nullptr) const;
+
+    /** routeNext() into a fresh decision. */
     RoutingDecision routeNext(TokenScoreGenerator &gen,
                               GateTally *tally = nullptr) const;
 
@@ -112,10 +119,12 @@ class TopKGate
 
   private:
     template <class Logit>
-    RoutingDecision decide(double *lo, double *hi, Logit &&logit,
-                           GateTally *tally) const;
+    void decide(double *lo, double *hi, Logit &&logit, GateTally *tally,
+                RoutingDecision &out) const;
 
     GateConfig cfg_;
+    /** Identifies cfg_ to the per-thread scratch (fitted on change). */
+    std::uint64_t id_;
 };
 
 } // namespace dsv3::moe

@@ -44,7 +44,9 @@ namespace {
     X(dotTileF32)                                                      \
     X(absBitsMax)                                                      \
     X(truncSum)                                                        \
-    X(fp22Panel)
+    X(fp22Panel)                                                       \
+    X(topNPerSegment)                                                  \
+    X(maskAtLeast)
 
 /** @p table with null entries replaced by the scalar ones. */
 KernelTable

@@ -3,11 +3,12 @@
  * Runtime CPU dispatch for the numerics kernels.
  *
  * The hot numerics loops (minifloat codecs, LogFMT log/exp, the GEMM
- * tile reductions) exist in one scalar and up to two SIMD
- * implementations, compiled into separate translation units with
- * per-TU ISA flags (see src/CMakeLists.txt). At first use the process
- * picks one KernelTable of function pointers -- the OpenVINO
- * inference-engine plugin idiom -- based on what the CPU supports:
+ * tile reductions, the MoE gate's bound passes) exist in one scalar
+ * and up to two SIMD implementations, compiled into separate
+ * translation units with per-TU ISA flags (see src/CMakeLists.txt).
+ * At first use the process picks one KernelTable of function pointers
+ * -- the OpenVINO inference-engine plugin idiom -- based on what the
+ * CPU supports:
  *
  *   x86:     __builtin_cpu_supports("avx512f"/"avx2"/"fma") at
  *            runtime; the binary itself stays baseline x86-64.
@@ -23,8 +24,10 @@
  * ISA's entry returns byte-identical results to the scalar entry
  * (which in turn matches the seed *Ref oracles). The codecs are exact
  * integer bit manipulation; the float paths follow the pinned
- * operation orders in numerics/fastmath.hh. tests/numerics/
- * test_dispatch.cc fuzzes every available table against scalar.
+ * operation orders in numerics/fastmath.hh. (topNPerSegment is the
+ * one value-level contract: it may return either zero of a +-0 tie.)
+ * tests/numerics/test_dispatch.cc fuzzes every available table
+ * against scalar.
  *
  * The chosen ISA is observable as registry stats
  * `numerics.dispatch.{isa,forced}` and as the "dispatch" field of
@@ -196,6 +199,26 @@ struct KernelTable
                                double *reg) = nullptr;
     /** Columns per fp22Panel call (1 scalar, 4 AVX2, 8 AVX-512). */
     std::size_t fp22PanelCols = 1;
+
+    // -- MoE gate bound passes (moe/gate.cc) -----------------------
+    /**
+     * For each of @p segments consecutive segments of @p len values
+     * of @p v: the @p n largest values of the segment as a multiset,
+     * descending, into out[s * n .. s * n + n). A maximum that occurs
+     * twice fills two slots. Requires 1 <= n <= len and no NaN input;
+     * +-inf are ordinary values. Results are compared as values: +0
+     * and -0 are one value, and either may come back.
+     */
+    void (*topNPerSegment)(const double *v, std::size_t segments,
+                           std::size_t len, std::size_t n,
+                           double *out) = nullptr;
+    /**
+     * Bit i % 64 of bits[i / 64] = (v[i] >= cut) for i < @p n; the
+     * rest of the last word is zero. Writes (n + 63) / 64 words; NaN
+     * compares false.
+     */
+    void (*maskAtLeast)(const double *v, std::size_t n, double cut,
+                        std::uint64_t *bits) = nullptr;
 };
 
 /**

@@ -273,10 +273,15 @@ gemmQuantized(const Matrix &a, const Matrix &b, const GemmOptions &options)
         }
         for (std::size_t r = 0; r < rows; ++r) {
             const std::size_t i = i_lo + r;
-            for (std::size_t j = 0; j < n; ++j)
-                cd[i * n + j] = promote
-                    ? (double)fp32_accum[r * n + j]
-                    : reg[r * n + j] * (ascale[i * num_tiles] * bscale[j]);
+            for (std::size_t j = 0; j < n; ++j) {
+                if (promote)
+                    cd[i * n + j] = (double)fp32_accum[r * n + j];
+                else if (num_tiles == 0) // no tiles, no scales: +0
+                    cd[i * n + j] = 0.0;
+                else
+                    cd[i * n + j] = reg[r * n + j] *
+                                    (ascale[i * num_tiles] * bscale[j]);
+            }
         }
     });
 
@@ -413,7 +418,9 @@ gemmQuantizedRef(const Matrix &a, const Matrix &b,
             }
 
             if (options.accum == AccumMode::FP22_NO_PROMOTION) {
-                double s = aq.scale(i, 0) * bq.scale(0, j);
+                // An empty K has no scales: the sum is +0.
+                const double s =
+                    k == 0 ? 0.0 : aq.scale(i, 0) * bq.scale(0, j);
                 c.at(i, j) = whole_k.value() * s;
             } else {
                 c.at(i, j) = (double)fp32_accum;

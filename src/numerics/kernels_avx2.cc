@@ -984,6 +984,117 @@ fp22PanelAvx2(const double *a, const double *b, std::size_t ldb,
     return (std::uint32_t)_mm256_movemask_pd(_mm256_castsi256_pd(miss));
 }
 
+// ---------------------------------------------------------------
+// MoE gate bound passes
+// ---------------------------------------------------------------
+
+/** Merge one vector into the per-lane descending runs acc[0..N). */
+template <std::size_t N>
+inline void
+mergeLanes(__m256d *acc, __m256d x)
+{
+    for (std::size_t j = 0; j < N; ++j) {
+        const __m256d t = acc[j];
+        acc[j] = _mm256_max_pd(t, x);
+        x = _mm256_min_pd(t, x);
+    }
+}
+
+/** Lanes [0, left) of p, the rest @p fill (left < 4). */
+inline __m256d
+loadTailPd(const double *p, std::size_t left, __m256d fill)
+{
+    const __m256i live = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x((long long)left), _mm256_setr_epi64x(0, 1, 2, 3));
+    return _mm256_blendv_pd(fill, _mm256_maskload_pd(p, live),
+                            _mm256_castsi256_pd(live));
+}
+
+inline double
+reduceMaxPd(__m256d v)
+{
+    const __m128d m = _mm_max_pd(_mm256_castpd256_pd128(v),
+                                 _mm256_extractf128_pd(v, 1));
+    return _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)));
+}
+
+/** Same lane-parallel top-N as kernels_avx512.cc, 4 lanes wide. */
+template <std::size_t N>
+void
+topNSegmentsAvx2(const double *v, std::size_t segments, std::size_t len,
+                 double *out)
+{
+    const __m256d ninf =
+        _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+    const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
+    for (std::size_t s = 0; s < segments; ++s, v += len, out += N) {
+        __m256d acc[N];
+        for (std::size_t j = 0; j < N; ++j)
+            acc[j] = ninf;
+        std::size_t i = 0;
+        for (; i + 4 <= len; i += 4)
+            mergeLanes<N>(acc, _mm256_loadu_pd(v + i));
+        if (i < len)
+            mergeLanes<N>(acc, loadTailPd(v + i, len - i, ninf));
+        for (std::size_t j = 0;; ++j) {
+            const double m = reduceMaxPd(acc[0]);
+            out[j] = m;
+            if (j + 1 == N)
+                break;
+            const int eq = _mm256_movemask_pd(
+                _mm256_cmp_pd(acc[0], _mm256_set1_pd(m), _CMP_EQ_OQ));
+            const __m256d lane = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+                _mm256_and_si256(_mm256_set1_epi64x(eq & -eq), lane_bit),
+                lane_bit));
+            // At most N - 1 pops: a lane's last slot is never read.
+            for (std::size_t q = 0; q + 1 < N; ++q)
+                acc[q] = _mm256_blendv_pd(acc[q], acc[q + 1], lane);
+        }
+    }
+}
+
+void
+topNPerSegmentAvx2(const double *v, std::size_t segments, std::size_t len,
+                   std::size_t n, double *out)
+{
+    switch (n) {
+      case 1: return topNSegmentsAvx2<1>(v, segments, len, out);
+      case 2: return topNSegmentsAvx2<2>(v, segments, len, out);
+      case 3: return topNSegmentsAvx2<3>(v, segments, len, out);
+      case 4: return topNSegmentsAvx2<4>(v, segments, len, out);
+      case 5: return topNSegmentsAvx2<5>(v, segments, len, out);
+      case 6: return topNSegmentsAvx2<6>(v, segments, len, out);
+      case 7: return topNSegmentsAvx2<7>(v, segments, len, out);
+      case 8: return topNSegmentsAvx2<8>(v, segments, len, out);
+    }
+    // Deeper runs than registers hold: the scalar network.
+    detail::scalarKernelTable()->topNPerSegment(v, segments, len, n,
+                                                out);
+}
+
+void
+maskAtLeastAvx2(const double *v, std::size_t n, double cut,
+                std::uint64_t *bits)
+{
+    const __m256d vcut = _mm256_set1_pd(cut);
+    std::size_t i = 0;
+    for (std::size_t w = 0; w < (n + 63) / 64; ++w) {
+        std::uint64_t word = 0;
+        for (std::size_t b = 0; b < 64 && i < n; b += 4, i += 4) {
+            const std::size_t left = n - i;
+            const __m256d x = left >= 4
+                ? _mm256_loadu_pd(v + i)
+                : loadTailPd(v + i, left, _mm256_setzero_pd());
+            std::uint64_t m = (std::uint64_t)_mm256_movemask_pd(
+                _mm256_cmp_pd(x, vcut, _CMP_GE_OQ));
+            if (left < 4)
+                m &= (1u << left) - 1;
+            word |= m << b;
+        }
+        bits[w] = word;
+    }
+}
+
 const KernelTable kAvx2Table = [] {
     KernelTable t;
     t.isa = KernelIsa::AVX2;
@@ -1004,6 +1115,8 @@ const KernelTable kAvx2Table = [] {
     t.truncSum = truncSumAvx2;
     t.fp22Panel = fp22PanelAvx2;
     t.fp22PanelCols = 4;
+    t.topNPerSegment = topNPerSegmentAvx2;
+    t.maskAtLeast = maskAtLeastAvx2;
     return t;
 }();
 

@@ -849,6 +849,102 @@ fp22PanelAvx512(const double *a, const double *b, std::size_t ldb,
     return miss;
 }
 
+// ---------------------------------------------------------------
+// MoE gate bound passes
+// ---------------------------------------------------------------
+
+/**
+ * Merge one vector into the per-lane descending runs acc[0..N): the
+ * scalar entry's max/min network, one lane per element. Without NaN,
+ * max_pd/min_pd agree with std::max/std::min up to the sign of a zero.
+ */
+template <std::size_t N>
+inline void
+mergeLanes(__m512d *acc, __m512d x)
+{
+    for (std::size_t j = 0; j < N; ++j) {
+        const __m512d t = acc[j];
+        acc[j] = _mm512_max_pd(t, x);
+        x = _mm512_min_pd(t, x);
+    }
+}
+
+/**
+ * Lane-parallel top-N: each lane keeps the top N of the elements it
+ * sees; the segment's top N is then drawn from the lane heads one at a
+ * time, popping the lane that held the drawn value, so a repeated
+ * maximum is drawn once per occurrence.
+ */
+template <std::size_t N>
+void
+topNSegmentsAvx512(const double *v, std::size_t segments,
+                   std::size_t len, double *out)
+{
+    const __m512d ninf =
+        _mm512_set1_pd(-std::numeric_limits<double>::infinity());
+    const __mmask8 tail = tailMask8(len % 8);
+    for (std::size_t s = 0; s < segments; ++s, v += len, out += N) {
+        __m512d acc[N];
+        for (std::size_t j = 0; j < N; ++j)
+            acc[j] = ninf;
+        std::size_t i = 0;
+        for (; i + 8 <= len; i += 8)
+            mergeLanes<N>(acc, _mm512_loadu_pd(v + i));
+        if (i < len)
+            mergeLanes<N>(acc, _mm512_mask_loadu_pd(ninf, tail, v + i));
+        for (std::size_t j = 0;; ++j) {
+            const double m = _mm512_reduce_max_pd(acc[0]);
+            out[j] = m;
+            if (j + 1 == N)
+                break;
+            const __mmask8 eq = _mm512_cmp_pd_mask(
+                acc[0], _mm512_set1_pd(m), _CMP_EQ_OQ);
+            const __mmask8 lane = eq & (__mmask8)-eq;
+            // At most N - 1 pops: a lane's last slot is never read.
+            for (std::size_t q = 0; q + 1 < N; ++q)
+                acc[q] = _mm512_mask_mov_pd(acc[q], lane, acc[q + 1]);
+        }
+    }
+}
+
+void
+topNPerSegmentAvx512(const double *v, std::size_t segments,
+                     std::size_t len, std::size_t n, double *out)
+{
+    switch (n) {
+      case 1: return topNSegmentsAvx512<1>(v, segments, len, out);
+      case 2: return topNSegmentsAvx512<2>(v, segments, len, out);
+      case 3: return topNSegmentsAvx512<3>(v, segments, len, out);
+      case 4: return topNSegmentsAvx512<4>(v, segments, len, out);
+      case 5: return topNSegmentsAvx512<5>(v, segments, len, out);
+      case 6: return topNSegmentsAvx512<6>(v, segments, len, out);
+      case 7: return topNSegmentsAvx512<7>(v, segments, len, out);
+      case 8: return topNSegmentsAvx512<8>(v, segments, len, out);
+    }
+    // Deeper runs than registers hold: the scalar network.
+    detail::scalarKernelTable()->topNPerSegment(v, segments, len, n,
+                                                out);
+}
+
+void
+maskAtLeastAvx512(const double *v, std::size_t n, double cut,
+                  std::uint64_t *bits)
+{
+    const __m512d vcut = _mm512_set1_pd(cut);
+    std::size_t i = 0;
+    for (std::size_t w = 0; w < (n + 63) / 64; ++w) {
+        std::uint64_t word = 0;
+        for (std::size_t b = 0; b < 64 && i < n; b += 8, i += 8) {
+            const __mmask8 t = tailMask8(n - i);
+            word |= (std::uint64_t)_mm512_mask_cmp_pd_mask(
+                        t, _mm512_maskz_loadu_pd(t, v + i), vcut,
+                        _CMP_GE_OQ)
+                    << b;
+        }
+        bits[w] = word;
+    }
+}
+
 const KernelTable kAvx512Table = [] {
     KernelTable t;
     t.isa = KernelIsa::AVX512;
@@ -869,6 +965,8 @@ const KernelTable kAvx512Table = [] {
     t.truncSum = truncSumAvx512;
     t.fp22Panel = fp22PanelAvx512;
     t.fp22PanelCols = 8;
+    t.topNPerSegment = topNPerSegmentAvx512;
+    t.maskAtLeast = maskAtLeastAvx512;
     return t;
 }();
 

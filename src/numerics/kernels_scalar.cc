@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "numerics/dispatch.hh"
@@ -252,6 +253,45 @@ fp22PanelScalar(const double *a, const double *b, std::size_t ldb,
     return 0;
 }
 
+/**
+ * Each segment's n largest values: a descending run top[0..n) that
+ * takes a value only when it beats the run's last entry, inserted
+ * behind every entry it does not beat. An equal value is placed below
+ * its twin, so a repeated maximum fills two slots.
+ */
+void
+topNPerSegmentScalar(const double *v, std::size_t segments,
+                     std::size_t len, std::size_t n, double *out)
+{
+    for (std::size_t s = 0; s < segments; ++s) {
+        double *top = out + s * n;
+        std::fill(top, top + n, -std::numeric_limits<double>::infinity());
+        for (std::size_t i = 0; i < len; ++i) {
+            const double x = v[s * len + i];
+            if (!(x > top[n - 1]))
+                continue;
+            std::size_t j = n - 1;
+            for (; j > 0 && top[j - 1] < x; --j)
+                top[j] = top[j - 1];
+            top[j] = x;
+        }
+    }
+}
+
+void
+maskAtLeastScalar(const double *v, std::size_t n, double cut,
+                  std::uint64_t *bits)
+{
+    for (std::size_t w = 0; w * 64 < n; ++w) {
+        const double *p = v + w * 64;
+        const std::size_t m = std::min<std::size_t>(64, n - w * 64);
+        std::uint64_t word = 0;
+        for (std::size_t b = 0; b < m; ++b)
+            word |= (std::uint64_t)(p[b] >= cut) << b;
+        bits[w] = word;
+    }
+}
+
 const KernelTable kScalarTable = [] {
     KernelTable t;
     t.isa = KernelIsa::SCALAR;
@@ -271,6 +311,8 @@ const KernelTable kScalarTable = [] {
     t.absBitsMax = absBitsMaxScalar;
     t.truncSum = truncSumScalar;
     t.fp22Panel = fp22PanelScalar;
+    t.topNPerSegment = topNPerSegmentScalar;
+    t.maskAtLeast = maskAtLeastScalar;
     return t;
 }();
 

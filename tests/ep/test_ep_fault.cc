@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <iterator>
+#include <string>
+
 #include "ep/deepep.hh"
 #include "net/cluster.hh"
+#include "numerics/dispatch.hh"
+#include "obs/registry.hh"
 
 namespace dsv3::ep {
 namespace {
@@ -135,6 +141,89 @@ TEST(DeepEpFault, DegradedLinkAddsRetryPenalty)
     EXPECT_GT(degraded.dispatchRetrySeconds, 0.0);
     EXPECT_GT(degraded.dispatchSeconds, healthy.dispatchSeconds);
     EXPECT_GT(degraded.combineSeconds, healthy.combineSeconds);
+}
+
+/** Bitwise equality of every EpResult field. */
+::testing::AssertionResult
+sameResult(const EpResult &a, const EpResult &b)
+{
+    auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    const double fa[] = {a.dispatchSeconds, a.combineSeconds,
+                         a.dispatchNicBytesPerGpu, a.dispatchGBsPerGpu,
+                         a.combineNicBytesPerGpu, a.combineGBsPerGpu,
+                         a.meanNodesTouched, a.meanGpusTouched,
+                         a.dispatchRetrySeconds, a.combineRetrySeconds,
+                         a.droppedDeliveries};
+    const double fb[] = {b.dispatchSeconds, b.combineSeconds,
+                         b.dispatchNicBytesPerGpu, b.dispatchGBsPerGpu,
+                         b.combineNicBytesPerGpu, b.combineGBsPerGpu,
+                         b.meanNodesTouched, b.meanGpusTouched,
+                         b.dispatchRetrySeconds, b.combineRetrySeconds,
+                         b.droppedDeliveries};
+    for (std::size_t i = 0; i < std::size(fa); ++i)
+        if (bits(fa[i]) != bits(fb[i]))
+            return ::testing::AssertionFailure()
+                   << "field " << i << ": " << fa[i] << " vs " << fb[i];
+    if (a.relayFallbacks != b.relayFallbacks ||
+        a.stalledTransfers != b.stalledTransfers)
+        return ::testing::AssertionFailure() << "fallback counts differ";
+    return ::testing::AssertionSuccess();
+}
+
+// The gate's bound passes run on the dispatched KernelTable: every
+// table must give the same round, and the same moe.gate.* counts,
+// with and without crashed ranks, ungrouped and node-limited.
+TEST(DeepEp, IdenticalAcrossKernelTables)
+{
+    using numerics::KernelIsa;
+    net::Cluster c = mpft(4);
+    std::vector<bool> dead(c.gpus.size(), false);
+    dead[5] = true;
+    dead[2 * 4 + 0] = true;
+    obs::Registry &reg = obs::Registry::global();
+    obs::Counter &evals = reg.counter("moe.gate.exact_evals");
+    obs::Counter &fallbacks = reg.counter("moe.gate.fallbacks");
+
+    for (bool grouped : {false, true}) {
+        EpWorkload w = smallWorkload();
+        if (grouped) {
+            w.gate.groups = 4;
+            w.gate.topKGroups = 2;
+        }
+        const std::vector<bool> *masks[] = {nullptr, &dead};
+        for (const std::vector<bool> *mask : masks) {
+            EpFaultModel fm;
+            fm.deadRanks = mask;
+            auto run = [&](KernelIsa isa, std::uint64_t *d_evals,
+                           std::uint64_t *d_fallbacks) {
+                numerics::ScopedKernelOverride o(
+                    *numerics::kernelTable(isa));
+                const std::uint64_t e0 = evals.value();
+                const std::uint64_t f0 = fallbacks.value();
+                EpResult r = simulateDeepEp(c, w, fm);
+                *d_evals = evals.value() - e0;
+                *d_fallbacks = fallbacks.value() - f0;
+                return r;
+            };
+            std::uint64_t want_evals = 0, want_fallbacks = 0;
+            const EpResult want =
+                run(KernelIsa::SCALAR, &want_evals, &want_fallbacks);
+            EXPECT_GT(want_evals, 0u);
+            EXPECT_EQ(want.droppedDeliveries > 0.0, mask != nullptr);
+            for (KernelIsa isa : {KernelIsa::AVX2, KernelIsa::AVX512}) {
+                if (!numerics::kernelTable(isa))
+                    continue;
+                SCOPED_TRACE(std::string(numerics::isaName(isa)) +
+                             (grouped ? " grouped" : " ungrouped") +
+                             (mask ? " dead ranks" : " healthy"));
+                std::uint64_t got_evals = 0, got_fallbacks = 0;
+                EXPECT_TRUE(sameResult(
+                    run(isa, &got_evals, &got_fallbacks), want));
+                EXPECT_EQ(got_evals, want_evals);
+                EXPECT_EQ(got_fallbacks, want_fallbacks);
+            }
+        }
+    }
 }
 
 } // namespace

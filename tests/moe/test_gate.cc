@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -181,14 +182,50 @@ TEST(Gate, GroupsTouchedSortedUnique)
 
 TEST(GateDeath, RejectsBadConfigs)
 {
+    // Each message names the GateConfig field at fault.
     GateConfig bad = v3Gate();
     bad.experts = 255; // not divisible by 8 groups
-    EXPECT_DEATH(TopKGate{bad}, "");
+    EXPECT_DEATH(TopKGate{bad},
+                 "GateConfig.experts must divide evenly into "
+                 "GateConfig.groups");
     GateConfig too_few = v3Gate();
     too_few.topKGroups = 4;
     too_few.groups = 128;         // 2 experts per group
     too_few.topK = 16;            // 4 groups x 2 experts < 16
-    EXPECT_DEATH(TopKGate{too_few}, "");
+    EXPECT_DEATH(TopKGate{too_few},
+                 "GateConfig.topKGroups selected groups must hold at "
+                 "least topK experts");
+    GateConfig none = v3Gate();
+    none.experts = 0;
+    EXPECT_DEATH(TopKGate{none}, "GateConfig.experts must be positive");
+    GateConfig no_k = v3Gate();
+    no_k.topK = 0;
+    EXPECT_DEATH(TopKGate{no_k}, "GateConfig.topK must be in 1..experts");
+    GateConfig big_k = v3Gate();
+    big_k.topK = 257;
+    EXPECT_DEATH(TopKGate{big_k}, "GateConfig.topK must be in 1..experts");
+    GateConfig no_groups = v3Gate();
+    no_groups.groups = 0;
+    EXPECT_DEATH(TopKGate{no_groups},
+                 "GateConfig.groups must be at least 1");
+    GateConfig no_limit = v3Gate();
+    no_limit.topKGroups = 0;
+    EXPECT_DEATH(TopKGate{no_limit},
+                 "GateConfig.topKGroups must be in 1..groups");
+    GateConfig over_limit = v3Gate();
+    over_limit.topKGroups = 9;
+    EXPECT_DEATH(TopKGate{over_limit},
+                 "GateConfig.topKGroups must be in 1..groups");
+}
+
+TEST(GateDeath, RejectsNaNLogit)
+{
+    // NaN has no place in (score desc, index asc): route() names the
+    // expert instead of ranking it.
+    TopKGate gate(v3Gate());
+    std::vector<double> logits = randomLogits(256, 9);
+    logits[37] = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(gate.route(logits), "the logit of expert 37 is NaN");
 }
 
 /** The node-limit sweep must monotonically reduce groups touched. */

@@ -1,8 +1,9 @@
 /**
  * @file
  * Exactness of the gate's filter-and-refine selection: routeNext() and
- * route() against the full-evaluation oracle, bit for bit, and the
- * Gumbel bracket table against the exact formula.
+ * route() against the full-evaluation oracle, bit for bit, under every
+ * kernel table the host can run (the bound passes are KernelTable
+ * slots), and the Gumbel bracket table against the exact formula.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "gate_oracle.hh"
 #include "moe/gate.hh"
 #include "moe/token_gen.hh"
+#include "numerics/dispatch.hh"
 #include "obs/registry.hh"
 
 namespace dsv3::moe {
@@ -50,6 +52,25 @@ describe(const GateConfig &c, double skew)
       << " topKGroups=" << c.topKGroups
       << " groupTop=" << c.groupTopScores << " skew=" << skew;
     return s.str();
+}
+
+/** Run @p f once under each kernel table this host can run. */
+template <class F>
+void
+underEveryTable(F &&f)
+{
+    using numerics::KernelIsa;
+    for (KernelIsa isa :
+         {KernelIsa::SCALAR, KernelIsa::AVX2, KernelIsa::AVX512}) {
+        const numerics::KernelTable *t = numerics::kernelTable(isa);
+        if (!t)
+            continue;
+        SCOPED_TRACE(std::string("kernel table ") + numerics::isaName(isa));
+        numerics::ScopedKernelOverride o(*t);
+        f();
+        if (::testing::Test::HasFailure())
+            return;
+    }
 }
 
 /**
@@ -116,23 +137,29 @@ sweepPaperShape(double skew, std::size_t sigmoid_tokens,
 // ~330k tokens each, ~1M over the three skews.
 TEST(GateExact, RouteNextMatchesOracleSkew0)
 {
-    EXPECT_GE(sweepPaperShape(0.0, 4096, 512), 330000u);
+    underEveryTable(
+        [] { EXPECT_GE(sweepPaperShape(0.0, 4096, 512), 330000u); });
 }
 
 TEST(GateExact, RouteNextMatchesOracleSkew03)
 {
-    EXPECT_GE(sweepPaperShape(0.3, 4096, 512), 330000u);
+    underEveryTable(
+        [] { EXPECT_GE(sweepPaperShape(0.3, 4096, 512), 330000u); });
 }
 
 TEST(GateExact, RouteNextMatchesOracleSkew3)
 {
-    EXPECT_GE(sweepPaperShape(3.0, 4096, 512), 330000u);
+    underEveryTable(
+        [] { EXPECT_GE(sweepPaperShape(3.0, 4096, 512), 330000u); });
 }
 
-TEST(GateExact, RouteNextMatchesOracleOnSmallGates)
+/**
+ * Few experts per group make near-ties, -inf lower brackets and
+ * group-score ties far more frequent than at 256 experts.
+ */
+void
+checkSmallGates()
 {
-    // Few experts per group make near-ties, -inf lower brackets and
-    // group-score ties far more frequent than at 256 experts.
     std::uint64_t seed = 100;
     for (double skew : {0.0, 0.3, 3.0}) {
         for (std::size_t group_top : {1, 2, 3}) {
@@ -153,33 +180,44 @@ TEST(GateExact, RouteNextMatchesOracleOnSmallGates)
     }
 }
 
-/** route() on @p logits against the oracle, for several gate shapes. */
+TEST(GateExact, RouteNextMatchesOracleOnSmallGates)
+{
+    underEveryTable(checkSmallGates);
+}
+
+/**
+ * route() on @p logits against the oracle, for several gate shapes,
+ * under every kernel table.
+ */
 void
 checkCrafted(const std::vector<double> &logits, const char *what)
 {
-    for (GateScoring scoring : {GateScoring::SIGMOID, GateScoring::SOFTMAX}) {
-        for (std::size_t groups : {1, 4}) {
-            for (std::size_t k : {1, 3, 5}) {
-                GateConfig cfg;
-                cfg.experts = logits.size();
-                cfg.topK = k;
-                cfg.scoring = scoring;
-                cfg.groups = groups;
-                cfg.topKGroups = groups == 1 ? 1 : 2;
-                TopKGate gate(cfg);
-                RoutingDecision want = test::routeOracle(cfg, logits);
-                // The oracle's own division is undefined when every
-                // selected score is zero; the gate asserts there.
-                double denom = 0.0;
-                for (double w : want.weights)
-                    denom += w;
-                if (!(denom > 0.0))
-                    continue;
-                EXPECT_TRUE(sameDecision(gate.route(logits), want))
-                    << what << ": " << describe(cfg, 0.0);
+    underEveryTable([&] {
+        for (GateScoring scoring :
+             {GateScoring::SIGMOID, GateScoring::SOFTMAX}) {
+            for (std::size_t groups : {1, 4}) {
+                for (std::size_t k : {1, 3, 5}) {
+                    GateConfig cfg;
+                    cfg.experts = logits.size();
+                    cfg.topK = k;
+                    cfg.scoring = scoring;
+                    cfg.groups = groups;
+                    cfg.topKGroups = groups == 1 ? 1 : 2;
+                    TopKGate gate(cfg);
+                    RoutingDecision want = test::routeOracle(cfg, logits);
+                    // The oracle's own division is undefined when every
+                    // selected score is zero; the gate asserts there.
+                    double denom = 0.0;
+                    for (double w : want.weights)
+                        denom += w;
+                    if (!(denom > 0.0))
+                        continue;
+                    EXPECT_TRUE(sameDecision(gate.route(logits), want))
+                        << what << ": " << describe(cfg, 0.0);
+                }
             }
         }
-    }
+    });
 }
 
 TEST(GateExact, RouteMatchesOracleOnExactTies)

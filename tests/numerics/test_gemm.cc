@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/rng.hh"
 #include "numerics/error.hh"
 #include "numerics/gemm.hh"
@@ -145,6 +147,34 @@ TEST(GemmQuantized, WiderFormatCloserToRef)
     e5m6.fmt = &kE5M6;
     EXPECT_LT(relL2Error(gemmQuantized(a, b, e5m6), ref),
               relL2Error(gemmQuantized(a, b, fp8), ref));
+}
+
+// An empty K is a sum of nothing: every accumulation mode returns the
+// m x n +0 matrix from both entry points. FP22_NO_PROMOTION used to
+// read the scale of tile 0, which an empty K does not have.
+TEST(GemmQuantized, EmptyKGivesZerosInEveryMode)
+{
+    const Matrix a(2, 0), b(0, 3);
+    for (AccumMode mode : {AccumMode::FP32, AccumMode::FP22,
+                           AccumMode::FP22_NO_PROMOTION}) {
+        for (bool fine : {false, true}) {
+            if (fine && mode == AccumMode::FP22_NO_PROMOTION)
+                continue; // rejected, see below
+            GemmOptions opt;
+            opt.accum = mode;
+            opt.fineGrained = fine;
+            for (const Matrix &c :
+                 {gemmQuantized(a, b, opt), gemmQuantizedRef(a, b, opt)}) {
+                ASSERT_EQ(c.rows(), 2u);
+                ASSERT_EQ(c.cols(), 3u);
+                for (std::size_t i = 0; i < 2; ++i)
+                    for (std::size_t j = 0; j < 3; ++j)
+                        EXPECT_EQ(std::bit_cast<std::uint64_t>(c.at(i, j)),
+                                  0u)
+                            << "mode " << (int)mode << " fine " << fine;
+            }
+        }
+    }
 }
 
 TEST(GemmQuantizedDeath, NoPromotionRejectsFineGrained)
